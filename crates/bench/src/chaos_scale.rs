@@ -52,11 +52,17 @@ pub struct ChaosScale {
     pub total_interrupts: u64,
     /// Most incarnations any single schedule needed.
     pub max_incarnations: u64,
-    /// Journaled completions reused instead of re-executed, summed.
+    /// Journaled completions reused instead of re-executed, summed
+    /// (informational; varies between identical runs and is NOT part of
+    /// any assertion: how many jobs a dying worker had finished depends
+    /// on thread timing, and so does what a restart finds journaled).
     pub total_resumed: u64,
     /// Corrupt checkpoints detected and rejected, summed.
     pub checkpoint_rejections: u64,
-    /// Incarnations that finished on a shrunken (but alive) pool.
+    /// Incarnations that finished on a shrunken (but alive) pool
+    /// (informational; varies between identical runs and is NOT part of
+    /// any assertion: whether a scheduled worker death fires depends on
+    /// how many jobs that worker got to finish, i.e. on thread timing).
     pub degraded_pool_incarnations: u64,
     /// Host wall-clock of the whole sweep, seconds (informational;
     /// varies with the machine and is NOT part of any assertion).

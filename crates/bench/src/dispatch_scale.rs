@@ -20,6 +20,7 @@
 
 use dispatch::{run_dispatch_with_store, DispatchReport, DispatchSpec};
 use fleet::{run_fleet, FleetCampaign, FleetConfig, FleetSpec};
+use rand::{fnv1a, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -72,13 +73,6 @@ pub struct DispatchScaleData {
     pub host_wall_seconds: f64,
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn spec(seed: u64) -> DispatchSpec {
     let mut spec = DispatchSpec::quick(BOARDS, seed);
     // Any margin erosion schedules re-characterization (one board per
@@ -109,8 +103,7 @@ pub fn run(seed: u64) -> DispatchScaleData {
     let identical = reports.iter().all(|report| {
         report.chronicle_json() == chronicle && report.observatory_json() == observatory
     });
-    let mut chronicle_fingerprint = 0xcbf2_9ce4_8422_2325;
-    fnv1a(&mut chronicle_fingerprint, chronicle.as_bytes());
+    let chronicle_fingerprint = fnv1a(FNV_OFFSET, chronicle.as_bytes());
 
     let nominal = run_dispatch_with_store(&base.nominal_arm(), 4, &store);
     let dispatcher_watts_per_qps = reference.chronicle.watts_per_qps;

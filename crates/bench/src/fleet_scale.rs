@@ -25,8 +25,6 @@ pub struct SpeedupPoint {
     pub workers: usize,
     /// Jobs executed (boards + safety-net requeues).
     pub jobs: u64,
-    /// Steal operations between workers.
-    pub queue_steals: u64,
     /// Modeled makespan, simulated seconds.
     pub sim_makespan_seconds: f64,
     /// Modeled speedup over serial (deterministic).
@@ -87,7 +85,6 @@ pub fn run_sized(boards: u32, seed: u64) -> FleetScale {
         points.push(SpeedupPoint {
             workers,
             jobs: report.execution.jobs,
-            queue_steals: report.execution.queue_steals,
             sim_makespan_seconds: report.execution.sim_makespan_seconds,
             speedup: report.execution.speedup,
             host_wall_seconds,
@@ -112,8 +109,8 @@ pub fn render(data: &FleetScale) -> String {
         "Fleet orchestration — {} boards (seed {}), {} characterized, {:.0} W projected",
         data.boards, data.seed, data.characterized, data.total_savings_watts
     );
-    // Only the deterministic columns are rendered: steal counts and host
-    // wall time vary with thread timing and live in the JSON record only.
+    // Only the deterministic columns are rendered: host wall time varies
+    // with the machine and lives in the JSON record only.
     let _ = writeln!(
         out,
         "{:>8}{:>8}{:>16}{:>10}",

@@ -28,6 +28,7 @@ use control_plane::metrics::Route;
 use control_plane::{
     CampaignRunner, CampaignSpec, CampaignState, ControlState, Router, ServerMetrics,
 };
+use rand::{fnv1a, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,13 +104,6 @@ struct DispatchOutcome {
     summary_fingerprint: u64,
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Boots a control plane, runs one campaign to completion, and returns
 /// the router serving its results.
 fn warmed_router(seed: u64) -> Router {
@@ -140,7 +134,7 @@ fn dispatch(seed: u64) -> DispatchOutcome {
     };
     let trace = profile.generate();
 
-    let mut summary: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut summary = FNV_OFFSET;
     let mut lookups = 0u64;
     let mut lookup_misses = 0u64;
     let mut server_errors = 0u64;
@@ -168,13 +162,13 @@ fn dispatch(seed: u64) -> DispatchOutcome {
             }
             // Lookup bodies are deterministic: same store, same epoch,
             // same snapshot version (exactly one campaign published).
-            fnv1a(&mut summary, &response.body);
+            summary = fnv1a(summary, &response.body);
         }
         if response.status >= 500 {
             server_errors += 1;
         }
-        fnv1a(&mut summary, &response.status.to_le_bytes());
-        fnv1a(&mut summary, event.target.as_bytes());
+        summary = fnv1a(summary, &response.status.to_le_bytes());
+        summary = fnv1a(summary, event.target.as_bytes());
     }
     let elapsed = started.elapsed().as_secs_f64();
 

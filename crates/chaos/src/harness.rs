@@ -65,10 +65,15 @@ pub struct ChaosReport {
     /// Durable-run bookkeeping from the final (successful) incarnation.
     pub final_stats: DurableStats,
     /// Sum of completions recovered from the journal across restarts.
+    /// Not reproducible: how many jobs a dying worker had finished
+    /// depends on thread timing, and so does what a restart finds
+    /// journaled.
     pub total_resumed: u64,
     /// Checkpoint rejections across all incarnations.
     pub checkpoint_rejections: u64,
     /// Incarnations that finished with a shrunken (but alive) pool.
+    /// Not reproducible: whether a scheduled worker death fires depends
+    /// on how many jobs that worker got to finish, i.e. on thread timing.
     pub degraded_pool_incarnations: u64,
     /// The invariant verdict against the uninterrupted baseline.
     pub invariants: InvariantReport,

@@ -43,6 +43,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use telemetry::metrics::Registry;
 
+/// Most boards one `POST /v1/campaigns` may ask to characterize; the
+/// router answers 400 above it.
+pub const MAX_CAMPAIGN_BOARDS: u32 = 4096;
+
+/// Most worker threads one `POST /v1/campaigns` may ask for; the router
+/// answers 400 above it.
+pub const MAX_CAMPAIGN_WORKERS: usize = 64;
+
 /// What a client submits: the fleet to characterize and how.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignSpec {

@@ -192,15 +192,12 @@ impl TraceDigest {
     /// An empty digest (the FNV-1a offset basis).
     pub fn new() -> Self {
         TraceDigest {
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: rand::FNV_OFFSET,
         }
     }
 
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.hash = rand::fnv1a(self.hash, bytes);
     }
 
     /// Folds one event into the digest.

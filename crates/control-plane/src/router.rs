@@ -7,7 +7,7 @@
 //! measures real dispatch + lookup + serialization cost, not a
 //! bench-only shortcut.
 
-use crate::campaigns::{CampaignRunner, CampaignSpec};
+use crate::campaigns::{CampaignRunner, CampaignSpec, MAX_CAMPAIGN_BOARDS, MAX_CAMPAIGN_WORKERS};
 use crate::http::{Method, Request, Response};
 use crate::metrics::{Route, ServerMetrics};
 use crate::state::ControlState;
@@ -130,6 +130,18 @@ impl Router {
         };
         if spec.boards == 0 {
             return Response::error(400, "campaign needs at least one board");
+        }
+        if spec.boards > MAX_CAMPAIGN_BOARDS {
+            return Response::error(
+                400,
+                &format!("campaign may have at most {MAX_CAMPAIGN_BOARDS} boards"),
+            );
+        }
+        if spec.workers > MAX_CAMPAIGN_WORKERS {
+            return Response::error(
+                400,
+                &format!("campaign may use at most {MAX_CAMPAIGN_WORKERS} workers"),
+            );
         }
         match self.runner.submit(spec) {
             Some(id) => Response::json(202, format!("{{\"id\":{id}}}")),
@@ -360,6 +372,18 @@ mod tests {
                 .status,
             400
         );
+        let over_boards = r#"{"boards":4294967295,"seed":1,"workers":2}"#;
+        assert_eq!(
+            router.handle(&post("/v1/campaigns", over_boards)).status,
+            400
+        );
+        let over_workers = r#"{"boards":16,"seed":1,"workers":100000}"#;
+        assert_eq!(
+            router.handle(&post("/v1/campaigns", over_workers)).status,
+            400
+        );
+        let at_limits = r#"{"boards":16,"seed":1,"workers":2}"#;
+        assert_eq!(router.handle(&post("/v1/campaigns", at_limits)).status, 202);
         assert_eq!(router.handle(&get("/nope")).status, 404);
         let put = Request {
             method: Method::Other("PUT".to_owned()),

@@ -32,8 +32,8 @@ use crate::report::{
 use crate::router::{BoardPort, Candidate, Placement, PlacementRouter, QueuePolicy};
 use control_plane::loadgen::{LoadProfile, TraceDigest};
 use fleet::{
-    run_fleet, BoardHealth, FleetCampaign, FleetConfig, FleetSpec, MaintenancePolicy,
-    SafePointStore,
+    par_map_ordered, run_fleet, BoardHealth, FleetCampaign, FleetConfig, FleetSpec,
+    MaintenancePolicy, SafePointStore,
 };
 use guardband_core::epoch::VersionedSafePointStore;
 use guardband_core::safepoint::{BoardSafePoint, SafePointPolicy};
@@ -45,8 +45,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use telemetry::metrics::Registry;
 use telemetry::{counter, gauge, FieldValue, Level, Telemetry};
 
@@ -160,7 +158,9 @@ pub fn run_dispatch_with_store(
 
     let mut sim = Sim::new(spec, store);
     sim.run();
-    let stats = latency_stats(workers, &sim.latencies);
+    // Per-board latency quantiles, merged in board order: any worker
+    // count yields identical statistics.
+    let stats = par_map_ordered(workers, &sim.latencies, |l| LatencyStats::of(l));
 
     counter!("dispatch_requests_total", sim.requests);
     counter!("dispatch_requests_routed_total", sim.served);
@@ -805,38 +805,6 @@ fn aged_record(
         savings_fraction: 0.0,
         savings_watts: 0.0,
     }
-}
-
-/// Per-board latency quantiles, computed by a claim-by-index worker
-/// pool and merged in board order — the same pool-independence pattern
-/// as the fleet orchestrator, so any worker count yields identical
-/// statistics.
-fn latency_stats(workers: usize, latencies: &[Vec<u64>]) -> Vec<LatencyStats> {
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, LatencyStats)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= latencies.len() {
-                            break;
-                        }
-                        local.push((i, LatencyStats::of(&latencies[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        for handle in handles {
-            all.extend(handle.join().expect("latency stats worker panicked"));
-        }
-        all
-    });
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, s)| s).collect()
 }
 
 #[cfg(test)]

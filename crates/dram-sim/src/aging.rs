@@ -32,18 +32,11 @@ use crate::geometry::{BankId, BANKS_PER_CHIP};
 use crate::math;
 use crate::retention::{random_cell, CouplingContext, WeakCell, WeakCellPopulation};
 use power_model::units::{Celsius, Milliseconds};
+use rand::mix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-
-/// splitmix64 finalizer — the stateless hash behind per-cell attribute
-/// streams and VRT flicker decisions.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Location parameter of the grown-cell retention lognormal: median
 /// 0.35 s at 60 °C, well inside the weak tail.
@@ -107,17 +100,18 @@ impl DramAging {
 
     /// Whether grown cell `k` of `bank` flickers (is VRT) at all.
     fn is_vrt(&self, seed: u64, bank: BankId, k: u64) -> bool {
-        let h = mix(seed ^ 0x56D7_F11C ^ (bank.index() as u64) << 32 ^ k.wrapping_mul(0x9E3B));
+        let h = mix64(seed ^ 0x56D7_F11C ^ (bank.index() as u64) << 32 ^ k.wrapping_mul(0x9E3B));
         (h % 1_000_000) as f64 / 1e6 < self.vrt_fraction
     }
 
     /// Whether a VRT cell is in its leaky state in month `month`.
     fn vrt_leaky(&self, seed: u64, bank: BankId, k: u64, month: u32) -> bool {
-        let h = mix(seed
-            ^ 0xF11C_C3B5
-            ^ ((bank.index() as u64) << 40)
-            ^ k.wrapping_mul(0x9E37_79B9)
-            ^ (u64::from(month) << 20));
+        let h = mix64(
+            seed ^ 0xF11C_C3B5
+                ^ ((bank.index() as u64) << 40)
+                ^ k.wrapping_mul(0x9E37_79B9)
+                ^ (u64::from(month) << 20),
+        );
         (h % 1_000_000) as f64 / 1e6 < self.vrt_duty
     }
 
@@ -125,8 +119,9 @@ impl DramAging {
     /// `bank` — drawn from a dedicated per-cell stream so they can be
     /// evaluated without placing the cell (the cheap monitoring path).
     fn grown_retention(&self, seed: u64, bank: BankId, k: u64) -> (f64, f64, f64) {
-        let mut rng =
-            StdRng::seed_from_u64(mix(seed ^ 0xA6ED_0C11 ^ ((bank.index() as u64) << 48) ^ k));
+        let mut rng = StdRng::seed_from_u64(mix64(
+            seed ^ 0xA6ED_0C11 ^ ((bank.index() as u64) << 48) ^ k,
+        ));
         let cap_s = Milliseconds::DSN18_RELAXED_TREFP.as_secs();
         let r_s = math::sample_lognormal_below(&mut rng, GROWTH_MU_LN_S, GROWTH_SIGMA, cap_s);
         use rand::Rng;
@@ -182,7 +177,7 @@ impl DramAging {
             // One address stream per bank: draws for bank b never move
             // when another bank's cell count changes.
             let mut addr_rng =
-                StdRng::seed_from_u64(mix(seed ^ 0xD8A7_11FE ^ ((bank.index() as u64) << 56)));
+                StdRng::seed_from_u64(mix64(seed ^ 0xD8A7_11FE ^ ((bank.index() as u64) << 56)));
             for k in 0..self.grown_per_bank(months) {
                 let (r60_ms, _, _) = self.grown_retention(seed, bank, k);
                 let cell = random_cell(&mut addr_rng, bank, r60_ms, &mut occupied);

@@ -8,6 +8,7 @@
 
 use crate::geometry::WordAddr;
 use crate::retention::CouplingContext;
+use rand::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -83,15 +84,6 @@ impl fmt::Display for DataPattern {
             DataPattern::Random { seed } => write!(f, "random(seed={seed})"),
         }
     }
-}
-
-/// SplitMix64 — a tiny, high-quality 64-bit mixer for address-keyed data.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -13,17 +13,23 @@
 //!    and the campaign: the full `char-fw` resilient Vmin walk, the
 //!    per-bank DRAM retention floor, the derived safe point and a
 //!    simulated cost in board-seconds;
-//! 3. [`orchestrator`] — dispatch through the bounded work-stealing
-//!    [`queue`] is intentionally racy, but aggregation sorts every
-//!    outcome by `(board, attempt)` before folding, and the safe-point
-//!    database ([`SafePointStore`]) is an order-independent semilattice.
+//! 3. [`orchestrator`] — dispatch through the bounded batched [`queue`]
+//!    is intentionally racy, but aggregation sorts every outcome by
+//!    `(board, attempt)` before folding, and the safe-point database
+//!    ([`SafePointStore`]) is an order-independent semilattice.
 //!
 //! The same purity argument powers crash consistency: [`journal`] is a
 //! CRC-framed write-ahead journal of claims, completions and merges,
 //! and [`orchestrator::run_fleet_durable`] replays it on restart to
 //! re-run *only* unfinished jobs — with the recovered campaign's merged
 //! output byte-identical to an uninterrupted run (the chaos crate's
-//! whole test surface).
+//! whole test surface). It is the crate's one coordinator loop:
+//! [`run_fleet`] calls it over a fresh in-memory journal with no
+//! injected faults.
+//!
+//! Work that is a fixed batch from the start — a lifetime round, a
+//! red-team episode grid — runs on [`par_map_ordered`] instead, which
+//! claims items by index and returns results in input order.
 //!
 //! Boards whose safety net trips (sub-Vmin silent corruption caught by
 //! the DMR sentinels) are evicted back to nominal and re-queued once
@@ -76,6 +82,6 @@ pub use orchestrator::{
     FleetConfig, FleetInterrupted, CHECKPOINT_EVERY,
 };
 pub use population::{BoardSpec, CornerMix, FleetSpec};
-pub use queue::{FleetQueue, QueueStats};
+pub use queue::{par_map_ordered, FleetQueue, QueueStats};
 pub use report::{FleetCharacterization, FleetExecution, FleetReport, JobSummary};
 pub use schedule::ScheduleModel;

@@ -1,18 +1,22 @@
 //! The fleet coordinator: shard, execute, evict, merge.
 //!
-//! [`run_fleet`] seeds a bounded work-stealing queue with one job per
-//! board, runs them on a pool of worker threads, listens for outcomes,
-//! and re-queues any board the safety net evicted (breaker tripped) with
-//! a raised search floor. When the last job lands it sorts every outcome
-//! into `(board, attempt)` order and only then aggregates — the merged
-//! [`SafePointStore`], population stats, summed campaign counters and
-//! the modeled schedule are all computed from sorted data, never from
-//! arrival order. Together with pure board specs and pure job execution
-//! this yields the headline invariant: an N-worker run's
+//! There is one coordinator loop, [`run_fleet_durable`]. It seeds a
+//! bounded batched [`FleetQueue`] with one job per board, runs them on a
+//! pool of worker threads, listens for outcomes, and re-queues any board
+//! the safety net evicted (breaker tripped) with a raised search floor —
+//! journaling every claim, completion and merge before acting on it.
+//! [`run_fleet`] is that loop over a fresh in-memory journal with no
+//! injected faults, so every fleet campaign runs the path the chaos
+//! harness certifies. When the last job lands the coordinator sorts
+//! every outcome into `(board, attempt)` order and only then aggregates
+//! — the merged [`SafePointStore`], population stats, summed campaign
+//! counters and the modeled schedule are all computed from sorted data,
+//! never from arrival order. Together with pure board specs and pure job
+//! execution this yields the headline invariant: an N-worker run's
 //! characterization output is byte-identical to the serial run's.
 
 use crate::job::{self, BoardOutcome, FleetCampaign, FleetJob};
-use crate::journal::{FleetJournal, JournalDamage, JournalEntry, JournalStore};
+use crate::journal::{FleetJournal, JournalDamage, JournalEntry, JournalStore, MemStore};
 use crate::population::FleetSpec;
 use crate::queue::{FleetQueue, QueueStats};
 use crate::report::{FleetCharacterization, FleetExecution, FleetReport, JobSummary};
@@ -155,108 +159,36 @@ impl FleetConfig {
     }
 }
 
-/// Characterizes the whole fleet. See the module docs for the
-/// determinism argument.
+/// Characterizes the whole fleet: [`run_fleet_durable`] over a fresh
+/// in-memory journal with no injected faults. See the module docs for
+/// the determinism argument.
 ///
 /// # Panics
 ///
 /// Panics if `config.workers` or `config.max_attempts` is zero, or if a
 /// worker thread panics.
 pub fn run_fleet(spec: &FleetSpec, campaign: &FleetCampaign, config: &FleetConfig) -> FleetReport {
-    assert!(config.max_attempts > 0, "fleet needs at least one attempt");
-    let _fleet_span = span!(
-        Level::Info,
-        "fleet",
-        boards = spec.boards,
-        workers = config.workers as u64,
-    );
-    let queue = FleetQueue::new(config.workers, config.queue_capacity, config.batch_size);
-    let (tx, rx) = mpsc::channel::<BoardOutcome>();
-    let mut outcomes: Vec<BoardOutcome> = Vec::new();
-    let mut requeues: u64 = 0;
-
-    let per_worker_jobs: Vec<u64> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.workers)
-            .map(|w| {
-                let tx = tx.clone();
-                let queue = &queue;
-                scope.spawn(move || {
-                    let mut jobs = 0u64;
-                    while let Some(next) = queue.next(w) {
-                        let outcome = job::execute(&next, campaign, spec.population);
-                        jobs += 1;
-                        tx.send(outcome).expect("coordinator outlives workers");
-                    }
-                    jobs
-                })
-            })
-            .collect();
-        drop(tx);
-
-        let mut outstanding: u64 = 0;
-        for board in spec.all_boards() {
-            queue.push(FleetJob {
-                board,
-                attempt: 0,
-                floor_override_mv: None,
-            });
-            outstanding += 1;
-        }
-        while outstanding > 0 {
-            let outcome = rx.recv().expect("workers outlive the backlog");
-            outstanding -= 1;
-            // Eviction: a tripped breaker means the board misbehaved below
-            // its real limits. Send it back to nominal and re-characterize
-            // with the floor raised clear of the observed crash zone.
-            if let Some(floor) = eviction_floor(&outcome, config) {
-                event!(
-                    Level::Warn,
-                    "fleet_board_evicted",
-                    board = outcome.board,
-                    attempt = outcome.attempt,
-                    raised_floor_mv = floor,
-                );
-                queue.push(FleetJob {
-                    board: spec.board(outcome.board),
-                    attempt: outcome.attempt + 1,
-                    floor_override_mv: Some(floor),
-                });
-                outstanding += 1;
-                requeues += 1;
-            }
-            outcomes.push(outcome);
-        }
-        queue.close();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    aggregate(
-        spec,
-        config,
-        outcomes,
-        per_worker_jobs,
-        queue.stats(),
-        requeues,
-    )
+    let mut journal = FleetJournal::new(MemStore::new());
+    run_fleet_durable(spec, campaign, config, &mut journal, &Disruption::none())
+        .expect("an undisrupted run on a fresh journal completes")
+        .report
 }
 
 /// Folds outcomes into the final [`FleetReport`]. Everything here works
 /// over `(board, attempt)`-sorted data, so no trace of arrival order —
 /// or of *which run incarnation executed which job* — survives into the
-/// report: [`run_fleet`] and a crash-recovered [`run_fleet_durable`]
-/// both land here and produce byte-identical characterization output.
+/// report: an uninterrupted run and a crash-recovered one produce
+/// byte-identical characterization output.
 fn aggregate(
     spec: &FleetSpec,
     config: &FleetConfig,
     mut outcomes: Vec<BoardOutcome>,
     per_worker_jobs: Vec<u64>,
     queue_stats: QueueStats,
-    requeues: u64,
 ) -> FleetReport {
     outcomes.sort_by_key(|o| (o.board, o.attempt));
+    // Every attempt past the first is an eviction's follow-up.
+    let requeues = outcomes.iter().filter(|o| o.attempt > 0).count() as u64;
     let mut store = SafePointStore::new();
     for outcome in &outcomes {
         store.insert(outcome.record.clone());
@@ -355,7 +287,8 @@ pub struct Disruption {
     pub kill_coordinator_after: Option<u64>,
     /// `(worker, after_jobs)`: the worker dies *holding its next job*
     /// after completing `after_jobs` — modelling a lease expiry whose
-    /// in-flight job and stolen backlog must come back exactly once.
+    /// in-flight job and the rest of its batch must come back exactly
+    /// once.
     pub worker_deaths: Vec<(usize, u64)>,
     /// Deliver the first N completions twice — at-least-once queue
     /// semantics. Duplicates must be absorbed by idempotent merges and
@@ -431,7 +364,7 @@ pub struct DurableStats {
 #[derive(Debug)]
 pub struct DurableRun {
     /// The fleet report — `characterization_json()` is byte-identical to
-    /// an uninterrupted [`run_fleet`] of the same spec and campaign.
+    /// an uninterrupted run of the same spec and campaign.
     pub report: FleetReport,
     /// Recovery bookkeeping for this incarnation.
     pub stats: DurableStats,
@@ -445,16 +378,16 @@ enum WorkerMsg {
     },
 }
 
-/// [`run_fleet`] with crash consistency: every claim, completion and
-/// merge is journaled before it takes effect, the merged store is
+/// The fleet coordinator loop, crash-consistent: every claim, completion
+/// and merge is journaled before it takes effect, the merged store is
 /// checkpointed (sealed, atomically) every [`CHECKPOINT_EVERY`]
 /// completions, and on entry the journal is replayed so a restarted
 /// coordinator re-runs *only* unfinished jobs — recomputing the
 /// expected-job closure from journaled completions with the same
 /// [`eviction_floor`] predicate the live loop uses, which is sound
-/// because job execution is pure. Dead workers surrender their stolen
-/// backlog and in-flight job exactly once; a pool that shrinks keeps
-/// going, a pool that empties returns [`FleetInterrupted::PoolLost`].
+/// because job execution is pure. Dead workers surrender the rest of
+/// their batch and their in-flight job exactly once; a pool that shrinks
+/// keeps going, a pool that empties returns [`FleetInterrupted::PoolLost`].
 ///
 /// # Errors
 ///
@@ -477,7 +410,7 @@ pub fn run_fleet_durable<S: JournalStore>(
     assert!(config.workers > 0, "fleet needs at least one worker");
     let _fleet_span = span!(
         Level::Info,
-        "fleet_durable",
+        "fleet",
         boards = spec.boards,
         workers = config.workers as u64,
     );
@@ -609,8 +542,8 @@ pub fn run_fleet_durable<S: JournalStore>(
                     let mut jobs = 0u64;
                     while let Some(next) = queue.next(w) {
                         if death_at == Some(jobs) {
-                            // Die holding the job: surrender the stolen
-                            // backlog and report the in-flight item so
+                            // Die holding the job: surrender the rest of
+                            // the batch and report the in-flight item so
                             // the coordinator re-queues it exactly once.
                             queue.retire(w);
                             let _ = tx.send(WorkerMsg::Died {
@@ -631,14 +564,18 @@ pub fn run_fleet_durable<S: JournalStore>(
             .collect();
         drop(tx);
 
-        let mut outstanding: u64 = 0;
-        for fleet_job in &pending {
+        // Every dispatch is journaled as a claim before the job is queued.
+        let claim = |journal: &mut FleetJournal<S>, fleet_job: FleetJob| {
             journal.append(&JournalEntry::JobClaimed {
                 board: fleet_job.board.id,
                 attempt: fleet_job.attempt,
                 floor_override_mv: fleet_job.floor_override_mv,
             });
-            queue.push(fleet_job.clone());
+            queue.push(fleet_job);
+        };
+        let mut outstanding: u64 = 0;
+        for fleet_job in pending {
+            claim(journal, fleet_job);
             outstanding += 1;
         }
 
@@ -667,25 +604,19 @@ pub fn run_fleet_durable<S: JournalStore>(
             };
             match msg {
                 WorkerMsg::Done(outcome) => {
-                    // Journal before acting: claim→complete→merge is the
-                    // write-ahead order recovery replays.
-                    journal.append(&JournalEntry::JobCompleted {
-                        outcome: outcome.clone(),
-                    });
-                    live_store.insert(outcome.record.clone());
-                    journal.append(&JournalEntry::MergeCommitted {
-                        epoch: 0,
-                        board: outcome.board,
-                        attempt: outcome.attempt,
-                    });
-                    processed += 1;
-                    stats.executed_jobs += 1;
-                    if duplicates_left > 0 {
-                        // At-least-once delivery: process the completion
-                        // again. Purity makes the duplicate
-                        // byte-identical; the merge absorbs it.
+                    // At-least-once delivery processes a completion twice.
+                    // Purity makes the duplicate byte-identical; the merge
+                    // absorbs it.
+                    let deliveries = if duplicates_left > 0 {
                         duplicates_left -= 1;
                         stats.duplicates_dropped += 1;
+                        2
+                    } else {
+                        1
+                    };
+                    for _ in 0..deliveries {
+                        // Journal before acting: claim→complete→merge is
+                        // the write-ahead order recovery replays.
                         journal.append(&JournalEntry::JobCompleted {
                             outcome: outcome.clone(),
                         });
@@ -696,9 +627,15 @@ pub fn run_fleet_durable<S: JournalStore>(
                             attempt: outcome.attempt,
                         });
                     }
+                    processed += 1;
+                    stats.executed_jobs += 1;
                     if processed.is_multiple_of(CHECKPOINT_EVERY) {
                         journal.commit_store_checkpoint(&live_store);
                     }
+                    // Eviction: a tripped breaker means the board
+                    // misbehaved below its real limits. Send it back to
+                    // nominal and re-characterize with the floor raised
+                    // clear of the observed crash zone.
                     if let Some(floor) = eviction_floor(&outcome, config) {
                         if !completed.contains_key(&(outcome.board, outcome.attempt + 1)) {
                             event!(
@@ -713,12 +650,7 @@ pub fn run_fleet_durable<S: JournalStore>(
                                 attempt: outcome.attempt + 1,
                                 floor_override_mv: Some(floor),
                             };
-                            journal.append(&JournalEntry::JobClaimed {
-                                board: follow_up.board.id,
-                                attempt: follow_up.attempt,
-                                floor_override_mv: follow_up.floor_override_mv,
-                            });
-                            queue.push(follow_up);
+                            claim(journal, follow_up);
                             outstanding += 1;
                         }
                     }
@@ -738,12 +670,7 @@ pub fn run_fleet_durable<S: JournalStore>(
                     );
                     counter!("fleet_worker_deaths_total", 1);
                     if let Some(fleet_job) = in_flight {
-                        journal.append(&JournalEntry::JobClaimed {
-                            board: fleet_job.board.id,
-                            attempt: fleet_job.attempt,
-                            floor_override_mv: fleet_job.floor_override_mv,
-                        });
-                        queue.push(fleet_job);
+                        claim(journal, fleet_job);
                     }
                     if alive == 0 {
                         interrupted = Some(FleetInterrupted::PoolLost {
@@ -774,17 +701,9 @@ pub fn run_fleet_durable<S: JournalStore>(
 
     // The aggregation multiset is the deduplicated completion map —
     // exactly one outcome per `(board, attempt)`, the same multiset an
-    // uninterrupted `run_fleet` produces — already in sorted order.
+    // uninterrupted run produces — already in sorted order.
     let outcomes: Vec<BoardOutcome> = completed.into_values().collect();
-    let requeues = outcomes.iter().filter(|o| o.attempt > 0).count() as u64;
-    let report = aggregate(
-        spec,
-        config,
-        outcomes,
-        per_worker_jobs,
-        queue.stats(),
-        requeues,
-    );
+    let report = aggregate(spec, config, outcomes, per_worker_jobs, queue.stats());
     Ok(DurableRun { report, stats })
 }
 
@@ -871,23 +790,14 @@ mod tests {
     }
 
     #[test]
-    fn an_undisrupted_durable_run_matches_run_fleet_byte_for_byte() {
+    fn an_undisrupted_durable_run_closes_its_journal() {
         let spec = small_fleet();
         let campaign = FleetCampaign::quick();
         let config = FleetConfig::with_workers(2);
-        let baseline = run_fleet(&spec, &campaign, &config);
-        let mut journal = FleetJournal::new(crate::journal::MemStore::new());
+        let mut journal = FleetJournal::new(MemStore::new());
         let durable =
             run_fleet_durable(&spec, &campaign, &config, &mut journal, &Disruption::none())
                 .expect("no faults injected");
-        assert_eq!(
-            baseline.characterization_json(),
-            durable.report.characterization_json()
-        );
-        assert_eq!(
-            baseline.observatory_json(),
-            durable.report.observatory_json()
-        );
         assert_eq!(durable.stats.resumed_completions, 0);
         assert_eq!(durable.stats.duplicates_dropped, 0);
         assert!(!durable.stats.checkpoint_rejected);
@@ -906,7 +816,7 @@ mod tests {
         let campaign = FleetCampaign::quick();
         let config = FleetConfig::with_workers(2);
         let baseline = run_fleet(&spec, &campaign, &config);
-        let mut journal = FleetJournal::new(crate::journal::MemStore::new());
+        let mut journal = FleetJournal::new(MemStore::new());
         let kill = Disruption {
             kill_coordinator_after: Some(3),
             ..Disruption::none()
@@ -936,7 +846,7 @@ mod tests {
         let campaign = FleetCampaign::quick();
         let config = FleetConfig::with_workers(3);
         let baseline = run_fleet(&spec, &campaign, &config);
-        let mut journal = FleetJournal::new(crate::journal::MemStore::new());
+        let mut journal = FleetJournal::new(MemStore::new());
         let deaths = Disruption {
             worker_deaths: vec![(0, 1), (2, 0)],
             ..Disruption::none()
@@ -956,7 +866,7 @@ mod tests {
         let campaign = FleetCampaign::quick();
         let config = FleetConfig::with_workers(2);
         let baseline = run_fleet(&spec, &campaign, &config);
-        let mut journal = FleetJournal::new(crate::journal::MemStore::new());
+        let mut journal = FleetJournal::new(MemStore::new());
         let wipeout = Disruption {
             worker_deaths: vec![(0, 1), (1, 1)],
             ..Disruption::none()
@@ -985,7 +895,7 @@ mod tests {
         let campaign = FleetCampaign::quick();
         let config = FleetConfig::with_workers(2);
         let baseline = run_fleet(&spec, &campaign, &config);
-        let mut journal = FleetJournal::new(crate::journal::MemStore::new());
+        let mut journal = FleetJournal::new(MemStore::new());
         let dupes = Disruption {
             duplicate_deliveries: 5,
             ..Disruption::none()

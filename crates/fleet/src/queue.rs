@@ -1,11 +1,16 @@
-//! Bounded work-stealing job queue.
+//! The fleet's two worker pools: a bounded batched job queue for
+//! campaigns whose backlog changes mid-run, and [`par_map_ordered`] for
+//! fixed batches.
 //!
-//! The coordinator pushes jobs into a bounded *injector*; each worker
-//! drains a private local deque, refilling it in batches from the
-//! injector and stealing half a victim's backlog when both run dry.
-//! Batched dispatch amortizes lock traffic; stealing keeps the pool
-//! busy when board costs are skewed (a TSS board's deep Vmin walk takes
-//! several times longer than a TFF board's shallow one).
+//! [`FleetQueue`]: the coordinator pushes jobs into a bounded
+//! *injector*; each worker drains a private local deque, refilling it in
+//! batches from the injector. The local deques sit behind the same lock
+//! as the injector, so every [`FleetQueue::next`] takes that lock;
+//! batching only saves `not_full` wake-ups of a blocked coordinator. Its
+//! cost is that one worker can hold up to `batch - 1` unstarted jobs that
+//! idle workers cannot take. The queue is dynamic because the coordinator
+//! re-queues evicted boards while the run is in flight, and a dying
+//! worker hands its batch back.
 //!
 //! The queue only decides *which worker runs which job when* — job
 //! results are pure functions of the job, and the aggregation layer
@@ -13,7 +18,56 @@
 //! order here can leak into campaign output.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::thread;
+
+/// Maps `f` over `items` on a pool of scoped threads and returns the
+/// results in input order.
+///
+/// Runs `workers.clamp(1, items.len().max(1))` threads, each claiming
+/// the next unclaimed index until none is left, so a slow item never
+/// holds up a fixed share of the others. Work runs on spawned threads
+/// even for one worker, so `f` never reports into the caller's
+/// thread-local telemetry context. Results are reassembled by index,
+/// so which worker ran which item never shows in the output.
+///
+/// # Panics
+///
+/// A panic in `f` propagates to the caller with its original payload.
+pub fn par_map_ordered<T: Sync, R: Send>(
+    workers: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break;
+                        };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
 
 /// Counters describing how work actually flowed through the queue.
 /// Execution-side diagnostics only: never part of deterministic output.
@@ -23,8 +77,6 @@ pub struct QueueStats {
     pub pushed: u64,
     /// Batch refills from the injector into a worker's local deque.
     pub batches: u64,
-    /// Steal operations between workers.
-    pub steals: u64,
     /// Jobs surrendered back to the injector by retiring workers.
     pub returned: u64,
 }
@@ -37,7 +89,7 @@ struct Shared<T> {
     stats: QueueStats,
 }
 
-/// A bounded multi-producer work-stealing queue for `workers` consumers.
+/// A bounded multi-producer batched job queue for `workers` consumers.
 #[derive(Debug)]
 pub struct FleetQueue<T> {
     shared: Mutex<Shared<T>>,
@@ -92,7 +144,7 @@ impl<T> FleetQueue<T> {
     /// or the queue is closed and fully drained (then `None`).
     ///
     /// Preference order: own local deque, then a batch refill from the
-    /// injector, then stealing half of the largest backlog.
+    /// injector.
     pub fn next(&self, worker: usize) -> Option<T> {
         let mut shared = self.shared.lock().expect("fleet queue poisoned");
         loop {
@@ -101,22 +153,12 @@ impl<T> FleetQueue<T> {
             }
             if !shared.injector.is_empty() {
                 let take = self.batch.min(shared.injector.len());
-                for _ in 0..take {
-                    let job = shared.injector.pop_front().expect("checked non-empty");
-                    shared.locals[worker].push_back(job);
-                }
+                let Shared {
+                    injector, locals, ..
+                } = &mut *shared;
+                locals[worker].extend(injector.drain(..take));
                 shared.stats.batches += 1;
                 self.not_full.notify_all();
-                continue;
-            }
-            if let Some(victim) = self.richest_victim(&shared, worker) {
-                let backlog = shared.locals[victim].len();
-                let take = (backlog / 2).max(1);
-                for _ in 0..take {
-                    let job = shared.locals[victim].pop_front().expect("victim non-empty");
-                    shared.locals[worker].push_back(job);
-                }
-                shared.stats.steals += 1;
                 continue;
             }
             if shared.closed {
@@ -126,19 +168,8 @@ impl<T> FleetQueue<T> {
         }
     }
 
-    fn richest_victim(&self, shared: &Shared<T>, worker: usize) -> Option<usize> {
-        shared
-            .locals
-            .iter()
-            .enumerate()
-            .filter(|(idx, local)| *idx != worker && !local.is_empty())
-            .max_by_key(|(_, local)| local.len())
-            .map(|(idx, _)| idx)
-    }
-
-    /// Retires `worker`: its local deque — including any half-backlog it
-    /// stole and had not yet run — goes back to the *front* of the
-    /// injector exactly once, preserving dispatch order, and other
+    /// Retires `worker`: the rest of its batch goes back to the *front*
+    /// of the injector exactly once, preserving dispatch order, and other
     /// workers are woken to pick the returned items up. A retired
     /// worker that calls [`next`](Self::next) again just competes for
     /// work normally (its deque is empty, not poisoned); the
@@ -227,48 +258,49 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_handed_worker_steals_from_the_richest_backlog() {
-        let queue = FleetQueue::new(2, 16, 8);
+    fn a_retiring_worker_returns_its_batch_exactly_once() {
+        let queue = FleetQueue::new(2, 16, 4);
         for job in 0..8 {
             queue.push(job);
         }
         queue.close();
-        // Worker 0 refills its local deque with the whole batch…
+        // Worker 0 refills with jobs 0..4 and worker 1 with 4..8; worker 1
+        // then dies holding the rest of its batch.
         assert_eq!(queue.next(0), Some(0));
-        // …so worker 1 finds the injector empty and must steal.
-        assert!(queue.next(1).is_some());
-        assert_eq!(queue.stats().steals, 1);
-        let drained = std::iter::from_fn(|| queue.next(1)).count()
-            + std::iter::from_fn(|| queue.next(0)).count();
-        assert_eq!(drained, 6);
+        assert_eq!(queue.next(1), Some(4));
+        assert_eq!(queue.retire(1), 3, "the dead worker held 5, 6 and 7");
+        assert_eq!(queue.stats().returned, 3);
+        // Retiring again surrenders nothing: the return happened once.
+        assert_eq!(queue.retire(1), 0);
+        assert_eq!(queue.stats().returned, 3);
+        // The survivor finishes its own batch, then finds the surrendered
+        // one at the front of the injector, in order — none lost, none
+        // duplicated.
+        let drained: Vec<i32> = std::iter::from_fn(|| queue.next(0)).collect();
+        assert_eq!(drained, vec![1, 2, 3, 5, 6, 7]);
     }
 
     #[test]
-    fn a_retiring_worker_returns_its_stolen_backlog_exactly_once() {
-        let queue = FleetQueue::new(2, 16, 8);
-        for job in 0..8 {
-            queue.push(job);
+    fn par_map_ordered_matches_a_sequential_map() {
+        for len in [0u64, 1, 37] {
+            let items: Vec<u64> = (0..len).collect();
+            // Uneven item costs, so workers finish out of input order.
+            let f = |&x: &u64| (0..(x % 5) * 1000).fold(x, |acc, k| acc.wrapping_mul(31) ^ k);
+            let expected: Vec<u64> = items.iter().map(f).collect();
+            for workers in [1, 2, 8] {
+                assert_eq!(par_map_ordered(workers, &items, f), expected);
+            }
         }
-        queue.close();
-        // Worker 0 refills with the whole batch, worker 1 steals half of
-        // it — then dies holding the stolen items.
-        assert_eq!(queue.next(0), Some(0));
-        assert_eq!(queue.next(1), Some(1));
-        assert_eq!(queue.stats().steals, 1);
-        let returned = queue.retire(1);
-        assert!(returned > 0, "the dead worker held stolen items");
-        assert_eq!(queue.stats().returned, returned as u64);
-        // Retiring again surrenders nothing: the return happened once.
-        assert_eq!(queue.retire(1), 0);
-        assert_eq!(queue.stats().returned, returned as u64);
-        // The survivor drains every remaining job — none lost, none
-        // duplicated, and the returned items come back in order.
-        let drained: Vec<i32> = std::iter::from_fn(|| queue.next(0)).collect();
-        let mut expected: Vec<i32> = (2..8).collect();
-        expected.sort_unstable();
-        let mut sorted = drained.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn a_panic_inside_par_map_ordered_reaches_the_caller() {
+        let items: Vec<u32> = (0..8).collect();
+        par_map_ordered(2, &items, |&x| {
+            assert_ne!(x, 5, "item 5 failed");
+            x
+        });
     }
 
     #[test]

@@ -76,8 +76,6 @@ pub struct FleetExecution {
     pub queue_pushed: u64,
     /// Batch refills from the injector.
     pub queue_batches: u64,
-    /// Steal operations between workers.
-    pub queue_steals: u64,
     /// Jobs each worker actually ran.
     pub per_worker_jobs: Vec<u64>,
     /// Modeled makespan of the pool, simulated seconds.
@@ -100,7 +98,6 @@ impl FleetExecution {
             requeues,
             queue_pushed: queue.pushed,
             queue_batches: queue.batches,
-            queue_steals: queue.steals,
             per_worker_jobs,
             sim_makespan_seconds: plan.makespan_seconds,
             speedup: plan.speedup(),
@@ -176,13 +173,8 @@ impl FleetReport {
         let _ = writeln!(
             out,
             "pool: {} worker(s), modeled makespan {:.0} s of {:.0} s serial (speedup {:.2}x), \
-             {} batch refill(s), {} steal(s)",
-            x.workers,
-            x.sim_makespan_seconds,
-            c.sim_serial_seconds,
-            x.speedup,
-            x.queue_batches,
-            x.queue_steals
+             {} batch refill(s)",
+            x.workers, x.sim_makespan_seconds, c.sim_serial_seconds, x.speedup, x.queue_batches
         );
         out
     }
@@ -219,7 +211,7 @@ mod tests {
     fn characterization_json_ignores_the_execution_side() {
         let a = report();
         let mut b = report();
-        b.execution.queue_steals = 99;
+        b.execution.queue_batches = 99;
         b.execution.per_worker_jobs = vec![7, 3];
         assert_ne!(a, b);
         assert_eq!(a.characterization_json(), b.characterization_json());

@@ -294,12 +294,7 @@ pub mod test_runner {
     /// Deterministic per-test seed: FNV-1a over the test name, so every
     /// property has its own reproducible stream independent of run order.
     pub fn seed_for(test_name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in test_name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        rand::fnv1a(rand::FNV_OFFSET, test_name.as_bytes())
     }
 
     /// Runs `case` [`CASES`] times with a deterministic RNG; panics with

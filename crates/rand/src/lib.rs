@@ -13,6 +13,43 @@
 //! Unlike upstream, [`rngs::StdRng`] implements `serde::Serialize` and
 //! `serde::Deserialize`: the characterization framework snapshots whole
 //! servers (RNG state included) for checkpoint/resume.
+//!
+//! Beside the generators sit the workspace's two stateless hashes, one
+//! definition each: the SplitMix64 finalizer [`mix64`] (and
+//! [`splitmix64`], one SplitMix64 step) for address- and seed-keyed
+//! streams, and [`fnv1a`] for output fingerprints.
+
+/// The SplitMix64 finalizer: a bijective 64-bit avalanche mix.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One SplitMix64 step from state `x`: the golden-gamma increment
+/// followed by [`mix64`].
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(GOLDEN_GAMMA))
+}
+
+/// SplitMix64's state increment, 2^64 / φ.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Folds `bytes` into the FNV-1a (64-bit) state `hash`. Start from the
+/// offset basis [`FNV_OFFSET`]; chaining calls hashes the concatenation.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Core trait: a source of random 64-bit words.
 pub trait RngCore {
@@ -175,11 +212,9 @@ struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 }
 
@@ -314,6 +349,19 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.gen::<f64>()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
+    }
+
+    #[test]
+    fn hashes_match_their_known_answers() {
+        use super::{fnv1a, splitmix64, FNV_OFFSET};
+        assert_eq!(fnv1a(0xcbf2_9ce4_8422_2325, b""), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
     }
 
     #[test]

@@ -8,19 +8,17 @@
 //! equal escape counts toward stronger dI/dt coupling).
 //!
 //! The `(genome × board)` episode grid of a generation is embarrassingly
-//! parallel. It runs on a pulled-index worker pool whose results are
-//! re-sorted by grid position before any aggregation, so arrival order
-//! never escapes: the campaign chronicle is byte-identical for any
-//! worker count.
+//! parallel. It runs on [`fleet::par_map_ordered`], which returns results
+//! in grid order, so arrival order never escapes: the campaign chronicle
+//! is byte-identical for any worker count.
 
 use crate::episode::{run_episode, AttackScenario, EpisodeReport};
+use fleet::par_map_ordered;
 use fleet::population::{BoardSpec, FleetSpec};
 use observatory::{
     BoardStream, DetectorConfig, Direction, Observatory, ObservatoryReport, SloSpec,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use stress_gen::ga::{evolve_batched, genome_profile, GaConfig};
 use stress_gen::isa::VirusGenome;
 use telemetry::Level;
@@ -178,32 +176,9 @@ pub fn replay_fleet(
     workers: usize,
 ) -> Vec<EpisodeReport> {
     let boards: Vec<BoardSpec> = fleet.all_boards().collect();
-    let next = AtomicUsize::new(0);
-    let mut reports: Vec<EpisodeReport> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(boards.len()).max(1))
-            .map(|_| {
-                let next = &next;
-                let boards = &boards;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(board) = boards.get(i) else {
-                            break;
-                        };
-                        done.push(run_episode(board, attacker, scenario));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("redteam replay worker panicked"))
-            .collect()
-    });
-    reports.sort_by_key(|r| r.board);
-    reports
+    par_map_ordered(workers, &boards, |board| {
+        run_episode(board, attacker, scenario)
+    })
 }
 
 /// Name of the zero-escape SLO declared by [`replay_observatory`].
@@ -226,36 +201,11 @@ pub fn replay_fleet_observed(
     workers: usize,
 ) -> Vec<(EpisodeReport, BoardStream)> {
     let boards: Vec<BoardSpec> = fleet.all_boards().collect();
-    let next = AtomicUsize::new(0);
-    let mut observed: Vec<(EpisodeReport, BoardStream)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(boards.len()).max(1))
-            .map(|_| {
-                let next = &next;
-                let boards = &boards;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(board) = boards.get(i) else {
-                            break;
-                        };
-                        let (report, stream) =
-                            observatory::observe(0, board.id, Level::Debug, || {
-                                run_episode(board, attacker, scenario)
-                            });
-                        done.push((report, stream));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("redteam replay worker panicked"))
-            .collect()
-    });
-    observed.sort_by_key(|(r, _)| r.board);
-    observed
+    par_map_ordered(workers, &boards, |board| {
+        observatory::observe(0, board.id, Level::Debug, || {
+            run_episode(board, attacker, scenario)
+        })
+    })
 }
 
 /// Replays `attacker` against the whole fleet under full observation
@@ -306,8 +256,8 @@ pub fn replay_observatory(
 
 /// Scores every genome against every board and returns per-genome
 /// fleet-wide escape totals, in genome order. The `(genome, board)` job
-/// grid is pulled by index and the results re-sorted by grid position,
-/// so worker scheduling never leaks into the totals.
+/// grid comes back from [`par_map_ordered`] in grid order, so worker
+/// scheduling never leaks into the totals.
 fn fleet_escapes(
     boards: &[BoardSpec],
     profiles: &[WorkloadProfile],
@@ -317,34 +267,11 @@ fn fleet_escapes(
     let jobs: Vec<(usize, usize)> = (0..profiles.len())
         .flat_map(|g| (0..boards.len()).map(move |b| (g, b)))
         .collect();
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<(usize, usize, u64)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(jobs.len()).max(1))
-            .map(|_| {
-                let next = &next;
-                let jobs = &jobs;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(g, b)) = jobs.get(i) else {
-                            break;
-                        };
-                        let report = run_episode(&boards[b], Some(&profiles[g]), scenario);
-                        done.push((g, b, report.escaped_sdcs));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("redteam campaign worker panicked"))
-            .collect()
+    let escapes = par_map_ordered(workers, &jobs, |&(g, b)| {
+        run_episode(&boards[b], Some(&profiles[g]), scenario).escaped_sdcs
     });
-    results.sort_by_key(|&(g, b, _)| (g, b));
     let mut per_genome = vec![0u64; profiles.len()];
-    for (g, _, e) in results {
+    for (&(g, _), e) in jobs.iter().zip(escapes) {
         per_genome[g] += e;
     }
     per_genome

@@ -24,11 +24,9 @@
 //! resulting (wrong) checksum, which the sentinel layer uses to emulate
 //! corrupted executions without needing oracle access to outcomes.
 
+use rand::{fnv1a, splitmix64, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use xgene_sim::workload::{StressTarget, WorkloadProfile};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A deterministic checksum kernel with a precomputed golden value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,22 +138,10 @@ impl CanaryKernel {
                 }
             }
             acc = acc.wrapping_add(v).rotate_left(7);
-            for byte in v.to_le_bytes() {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(FNV_PRIME);
-            }
+            digest = fnv1a(digest, &v.to_le_bytes());
         }
         digest
     }
-}
-
-/// SplitMix64 finalizer — used to spread fault seeds over (word, bit)
-/// positions without a generator state.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Fleet orchestration integration tests: the safe-point store's merge
-//! algebra under arbitrary shard orderings, and the seeded 256-board
-//! end-to-end determinism invariant from the roadmap.
+//! algebra under arbitrary shard orderings, the seeded 256-board
+//! end-to-end determinism invariant from the roadmap, and the recorded
+//! bytes of a seeded fleet report.
 
 use armv8_guardbands::fleet::{
     run_fleet, BoardSafePoint, FleetCampaign, FleetConfig, FleetSpec, SafePointStore,
@@ -125,4 +126,23 @@ fn fleet_256_boards_is_bit_identical_across_pool_sizes() {
     assert!(stats.corner_histogram.iter().all(|(_, n)| *n > 0));
     // The pool actually parallelized: the modeled makespan shrank.
     assert!(pooled.execution.sim_makespan_seconds < serial.execution.sim_makespan_seconds);
+}
+
+/// The fleet report's bytes, pinned: FNV-1a over the characterization
+/// JSON followed by the observatory JSON of a seeded 10-board fleet on
+/// 2 workers. No other test compares `run_fleet` with a recorded output,
+/// so a different hash means the fleet measures or reports something
+/// else.
+#[test]
+fn a_seeded_fleet_report_keeps_its_recorded_bytes() {
+    let report = run_fleet(
+        &FleetSpec::new(10, 2018),
+        &FleetCampaign::quick(),
+        &FleetConfig::with_workers(2),
+    );
+    let hash = rand::fnv1a(
+        rand::fnv1a(rand::FNV_OFFSET, report.characterization_json().as_bytes()),
+        report.observatory_json().as_bytes(),
+    );
+    assert_eq!(hash, 0x1bbb_3238_b38a_0715, "fleet report bytes changed");
 }
