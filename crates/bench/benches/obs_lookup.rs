@@ -20,10 +20,10 @@ fn loaded_sink() -> CaptureSink {
             seq: i as u64,
             kind: EventKind::Event,
             level: Level::Info,
-            target: "bench".to_owned(),
-            name: format!("event_{}", i % NAMES),
+            target: "bench".into(),
+            name: format!("event_{}", i % NAMES).into(),
             span_path: Vec::new(),
-            fields: vec![("i".to_owned(), (i as u64).into())],
+            fields: vec![("i".into(), (i as u64).into())],
         });
     }
     sink

@@ -442,6 +442,19 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// One job outcome's bytes, pinned: the JSON a journal frame
+    /// carries, with the job's captured trace, flight dumps and metrics
+    /// snapshot. The fleet report pin sees these only indirectly.
+    #[test]
+    fn a_job_outcome_keeps_its_recorded_bytes() {
+        let spec = FleetSpec::new(8, 2018);
+        let outcome = execute(&job(1), &FleetCampaign::quick(), spec.population);
+        assert!(!outcome.trace.is_empty() && !outcome.dumps.is_empty());
+        let json = serde::json::to_string(&outcome);
+        let hash = rand::fnv1a(rand::FNV_OFFSET, json.as_bytes());
+        assert_eq!(hash, 0x5e65_1dd3_e308_e3ad, "job outcome bytes changed");
+    }
+
     #[test]
     fn an_untripped_board_yields_a_deployable_record() {
         let mut campaign = FleetCampaign::quick();

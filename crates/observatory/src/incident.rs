@@ -223,7 +223,7 @@ fn collect_evidence(events: &[TimelineEvent], index: usize, board: u32) -> Vec<S
         if te.key.board != board {
             continue;
         }
-        if !EVIDENCE_NAMES.contains(&te.event.name.as_str()) {
+        if !EVIDENCE_NAMES.contains(&&*te.event.name) {
             continue;
         }
         let mut line = format!(

@@ -13,6 +13,7 @@
 //! arrived.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::rc::Rc;
 use telemetry::event::EventKind;
 use telemetry::{CaptureSink, Event, FieldValue, Level, Sink, Telemetry};
@@ -160,10 +161,13 @@ impl StreamBuilder {
             seq: self.next_seq,
             kind: EventKind::Event,
             level,
-            target: "observatory::synthetic".to_owned(),
-            name: name.to_owned(),
+            target: Cow::Borrowed("observatory::synthetic"),
+            name: Cow::Owned(name.to_owned()),
             span_path: Vec::new(),
-            fields,
+            fields: fields
+                .into_iter()
+                .map(|(k, v)| (Cow::Owned(k), v))
+                .collect(),
         });
         self.next_seq += 1;
         self
@@ -212,7 +216,7 @@ mod tests {
         assert_eq!(value, 42);
         assert_eq!(stream.epoch, 3);
         assert_eq!(stream.board, 7);
-        let names: Vec<&str> = stream.events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = stream.events.iter().map(|e| &*e.name).collect();
         assert_eq!(names, vec!["first", "second"]);
         assert_eq!(stream.events[0].seq, 0, "fresh context restarts seq");
         assert_eq!(stream.key_of(&stream.events[1]).board, 7);
@@ -234,11 +238,7 @@ mod tests {
             });
             (inner, outer)
         };
-        let names: Vec<&str> = outer_stream
-            .events
-            .iter()
-            .map(|e| e.name.as_str())
-            .collect();
+        let names: Vec<&str> = outer_stream.events.iter().map(|e| &*e.name).collect();
         assert_eq!(names, vec!["outer_before", "outer_after"]);
         assert_eq!(inner_stream.events[0].seq, 0);
     }

@@ -8,6 +8,7 @@
 
 use crate::stream::{BoardStream, CausalKey};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
 use telemetry::event::EventKind;
@@ -144,7 +145,10 @@ fn kind_rank(kind: EventKind) -> u8 {
     }
 }
 
-fn fields_cmp(a: &[(String, FieldValue)], b: &[(String, FieldValue)]) -> Ordering {
+fn fields_cmp(
+    a: &[(Cow<'static, str>, FieldValue)],
+    b: &[(Cow<'static, str>, FieldValue)],
+) -> Ordering {
     for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
         let ord = ka.cmp(kb).then_with(|| field_value_cmp(va, vb));
         if ord != Ordering::Equal {
@@ -225,11 +229,7 @@ mod tests {
     #[test]
     fn merge_orders_by_causal_key() {
         let timeline = FleetTimeline::merge(&sample_streams());
-        let names: Vec<&str> = timeline
-            .events()
-            .iter()
-            .map(|te| te.event.name.as_str())
-            .collect();
+        let names: Vec<&str> = timeline.events().iter().map(|te| &*te.event.name).collect();
         assert_eq!(names, vec!["gamma", "alpha", "beta", "evicted"]);
     }
 

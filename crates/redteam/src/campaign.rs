@@ -232,7 +232,7 @@ pub fn replay_observatory(
             let mut epoch = None;
             let mut droop = None;
             for (name, value) in &event.fields {
-                match (name.as_str(), value) {
+                match (&**name, value) {
                     ("epoch", telemetry::FieldValue::U64(e)) => epoch = Some(*e),
                     ("droop_mv", telemetry::FieldValue::F64(d)) => droop = Some(*d),
                     _ => {}

@@ -30,6 +30,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
@@ -298,6 +299,20 @@ impl Deserialize for String {
     }
 }
 
+// A `Cow<str>` encodes exactly like the `String` it may stand for, and
+// always decodes to an owned string.
+impl Serialize for Cow<'_, str> {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl Deserialize for Cow<'static, str> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        String::from_value(v).map(Cow::Owned)
+    }
+}
+
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
@@ -533,6 +548,20 @@ mod tests {
             BTreeMap::<(String, u32), u64>::from_value(&map.to_value()).unwrap(),
             map
         );
+    }
+
+    #[test]
+    fn cow_str_encodes_like_string_and_decodes_owned() {
+        let text = "vmin \"walk\"";
+        let borrowed: Cow<'static, str> = Cow::Borrowed(text);
+        assert_eq!(borrowed.to_value(), text.to_owned().to_value());
+        assert_eq!(
+            crate::json::to_string(&borrowed),
+            crate::json::to_string(&text.to_owned())
+        );
+        let back = Cow::<'static, str>::from_value(&borrowed.to_value()).unwrap();
+        assert!(matches!(back, Cow::Owned(ref s) if s == text));
+        assert!(Cow::<'static, str>::from_value(&Value::U64(1)).is_err());
     }
 
     #[test]

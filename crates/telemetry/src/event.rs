@@ -6,6 +6,12 @@
 //! JSONL sink and flight-recorder dumps) and compare with `==` (for the
 //! capture sink used by tests).
 //!
+//! Event text that is fixed at the call site — the target module, the
+//! event and span names, the field keys — is `Cow<'static, str>`: the
+//! dispatcher borrows the `'static` literals the macros pass, so
+//! emitting an event copies no text. Decoded events own their text;
+//! both forms serialize identically and compare equal.
+//!
 //! Determinism: an event's identity is its monotonically increasing
 //! sequence number within the installed telemetry context, assigned in
 //! emission order. Nothing here reads a wall clock — callers that want a
@@ -13,6 +19,7 @@
 //! `sim_ms`), so recorded traces are bit-identical across runs.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Severity of an event, ordered `Trace < Debug < Info < Warn < Error`.
@@ -166,14 +173,14 @@ pub struct Event {
     pub level: Level,
     /// Module path of the emitting code (`module_path!()` at the call
     /// site).
-    pub target: String,
+    pub target: Cow<'static, str>,
     /// Event name (or span name for enter/exit records).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Names of the enclosing spans, outermost first. For span enter/exit
     /// records this is the path *around* the span, not including it.
-    pub span_path: Vec<String>,
+    pub span_path: Vec<Cow<'static, str>>,
     /// Typed key/value payload, in emission order.
-    pub fields: Vec<(String, FieldValue)>,
+    pub fields: Vec<(Cow<'static, str>, FieldValue)>,
 }
 
 impl Event {

@@ -16,6 +16,14 @@
 //! With no context installed, the macros cost one thread-local read and
 //! a branch — no field construction, no allocation, no clock reads.
 //!
+//! With a context installed, an event copies none of its text: target,
+//! name, span path and field keys borrow the `'static` literals of the
+//! call site, so what a dispatched event allocates is its `span_path`
+//! and `fields` vectors (plus any `String` field values). Sinks keep
+//! that cost low too: the flight recorder overwrites its oldest slot in
+//! place once the ring is full, and registry updates on an existing
+//! series allocate nothing.
+//!
 //! # Determinism
 //!
 //! Events carry a monotonic per-context sequence number as their only
@@ -56,15 +64,16 @@ pub use metrics::{series_name, MetricsSnapshot, Registry};
 pub use recorder::{FlightDump, FlightRecorder};
 pub use sink::{CaptureSink, JsonlSink, PrettySink, Sink};
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// The installed per-thread telemetry state.
 struct Context {
-    sinks: Vec<Rc<dyn Sink>>,
+    sinks: Rc<[Rc<dyn Sink>]>,
     registry: Option<Rc<Registry>>,
     min_level: Level,
-    span_stack: Vec<String>,
+    span_stack: Vec<&'static str>,
     seq: u64,
 }
 
@@ -143,7 +152,7 @@ impl Telemetry {
                 .unwrap_or(Level::Trace)
         });
         let ctx = Context {
-            sinks: self.sinks,
+            sinks: self.sinks.into(),
             registry: self.registry,
             min_level,
             span_stack: Vec::new(),
@@ -202,9 +211,9 @@ pub fn with_registry<R>(f: impl FnOnce(&Registry) -> R) -> Option<R> {
 
 /// Flushes every installed sink.
 pub fn flush() {
-    let sinks = CONTEXT.with(|c| c.borrow().as_ref().map(|ctx| ctx.sinks.clone()));
+    let sinks = CONTEXT.with(|c| c.borrow().as_ref().map(|ctx| Rc::clone(&ctx.sinks)));
     if let Some(sinks) = sinks {
-        for sink in sinks {
+        for sink in sinks.iter() {
             sink.flush();
         }
     }
@@ -213,16 +222,21 @@ pub fn flush() {
 /// Assembles an event in the installed context and fans it out to the
 /// sinks. Prefer the [`event!`] macro, which adds the `enabled` fast
 /// path and captures `module_path!()` for you.
-pub fn dispatch_event(level: Level, target: &str, name: &str, fields: Vec<(String, FieldValue)>) {
+pub fn dispatch_event(
+    level: Level,
+    target: &'static str,
+    name: &'static str,
+    fields: Vec<(Cow<'static, str>, FieldValue)>,
+) {
     dispatch(EventKind::Event, level, target, name, fields);
 }
 
 fn dispatch(
     kind: EventKind,
     level: Level,
-    target: &str,
-    name: &str,
-    fields: Vec<(String, FieldValue)>,
+    target: &'static str,
+    name: &'static str,
+    fields: Vec<(Cow<'static, str>, FieldValue)>,
 ) {
     // Assemble under the borrow, then release it before calling sinks so
     // a sink that itself consults telemetry cannot double-borrow.
@@ -238,15 +252,15 @@ fn dispatch(
             seq,
             kind,
             level,
-            target: target.to_owned(),
-            name: name.to_owned(),
-            span_path: ctx.span_stack.clone(),
+            target: Cow::Borrowed(target),
+            name: Cow::Borrowed(name),
+            span_path: ctx.span_stack.iter().map(|&s| Cow::Borrowed(s)).collect(),
             fields,
         };
-        Some((event, ctx.sinks.clone()))
+        Some((event, Rc::clone(&ctx.sinks)))
     });
     if let Some((event, sinks)) = assembled {
-        for sink in sinks {
+        for sink in sinks.iter() {
             if event.level >= sink.min_level() {
                 sink.record(&event);
             }
@@ -259,8 +273,8 @@ fn dispatch(
 #[derive(Debug)]
 pub struct SpanGuard {
     /// `None` when telemetry was disabled at entry (pure no-op guard).
-    name: Option<String>,
-    target: String,
+    name: Option<&'static str>,
+    target: &'static str,
     level: Level,
 }
 
@@ -268,26 +282,26 @@ pub struct SpanGuard {
 /// thread's span stack. Prefer the [`span!`] macro.
 pub fn enter_span(
     level: Level,
-    target: &str,
-    name: &str,
-    fields: Vec<(String, FieldValue)>,
+    target: &'static str,
+    name: &'static str,
+    fields: Vec<(Cow<'static, str>, FieldValue)>,
 ) -> SpanGuard {
     if !enabled(level) {
         return SpanGuard {
             name: None,
-            target: String::new(),
+            target,
             level,
         };
     }
     dispatch(EventKind::SpanEnter, level, target, name, fields);
     CONTEXT.with(|c| {
         if let Some(ctx) = c.borrow_mut().as_mut() {
-            ctx.span_stack.push(name.to_owned());
+            ctx.span_stack.push(name);
         }
     });
     SpanGuard {
-        name: Some(name.to_owned()),
-        target: target.to_owned(),
+        name: Some(name),
+        target,
         level,
     }
 }
@@ -315,8 +329,8 @@ impl Drop for SpanGuard {
             dispatch(
                 EventKind::SpanExit,
                 self.level,
-                &self.target,
-                &name,
+                self.target,
+                name,
                 Vec::new(),
             );
         }
@@ -325,10 +339,10 @@ impl Drop for SpanGuard {
 
 /// Emits a structured event: `event!(Level::Warn, "retry", attempt = 2)`.
 ///
-/// Keys are bare identifiers; values are anything with
-/// `Into<FieldValue>` (integers, floats, bools, strings). With no
-/// installed context this costs one thread-local read — the field
-/// expressions are not evaluated.
+/// The name is a `&'static str` (in practice a literal); keys are bare
+/// identifiers; values are anything with `Into<FieldValue>` (integers,
+/// floats, bools, strings). With no installed context this costs one
+/// thread-local read — the field expressions are not evaluated.
 #[macro_export]
 macro_rules! event {
     ($level:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
@@ -338,7 +352,7 @@ macro_rules! event {
                 module_path!(),
                 $name,
                 ::std::vec![$((
-                    stringify!($key).to_owned(),
+                    ::std::borrow::Cow::Borrowed(stringify!($key)),
                     $crate::FieldValue::from($value),
                 )),*],
             );
@@ -349,9 +363,9 @@ macro_rules! event {
 /// Enters a span and returns its [`SpanGuard`]:
 /// `let _g = span!(Level::Info, "campaign", bench = "milc");`
 ///
-/// Events emitted while the guard lives carry the span's name in their
-/// `span_path`. Bind the guard to a name (`_g`, not `_`) or it exits
-/// immediately.
+/// Events emitted while the guard lives carry the span's name (a
+/// `&'static str`) in their `span_path`. Bind the guard to a name (`_g`,
+/// not `_`) or it exits immediately.
 #[macro_export]
 macro_rules! span {
     ($level:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
@@ -361,7 +375,7 @@ macro_rules! span {
             $name,
             if $crate::enabled($level) {
                 ::std::vec![$((
-                    stringify!($key).to_owned(),
+                    ::std::borrow::Cow::Borrowed(stringify!($key)),
                     $crate::FieldValue::from($value),
                 )),*]
             } else {
@@ -517,7 +531,7 @@ mod tests {
             assert_eq!(inner.len(), 1);
         }
         event!(Level::Info, "outer_after");
-        let names: Vec<String> = outer.events().iter().map(|e| e.name.clone()).collect();
+        let names: Vec<String> = outer.events().iter().map(|e| e.name.to_string()).collect();
         assert_eq!(
             names,
             vec!["outer_before".to_owned(), "outer_after".to_owned()]

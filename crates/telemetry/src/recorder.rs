@@ -9,6 +9,11 @@
 //! any explicitly named events), snapshots the whole buffer into a
 //! [`FlightDump`]. Dumps are deterministic: events appear in emission
 //! (sequence) order, and nothing in them depends on wall time.
+//!
+//! Once the ring is full, each new event overwrites the evicted slot in
+//! place, reusing its vectors and owned strings: recording allocates
+//! only where the slot is too small for the new event, and for the text
+//! of `FieldValue::Str` fields.
 
 use crate::event::{Event, Level};
 use crate::sink::Sink;
@@ -113,8 +118,8 @@ impl FlightRecorder {
         self
     }
 
-    /// Caps how many dumps are retained (later triggers are counted but
-    /// not snapshotted, bounding memory on a pathological campaign).
+    /// Caps how many dumps are retained (later triggers are dropped,
+    /// bounding memory on a pathological campaign).
     #[must_use]
     pub fn with_max_dumps(mut self, max: usize) -> Self {
         self.max_dumps = max;
@@ -163,20 +168,41 @@ impl Default for FlightRecorder {
     }
 }
 
+/// Overwrites `slot` with a copy of `event`, reusing the slot's vectors
+/// and owned strings.
+fn overwrite(slot: &mut Event, event: &Event) {
+    slot.seq = event.seq;
+    slot.kind = event.kind;
+    slot.level = event.level;
+    slot.target.clone_from(&event.target);
+    slot.name.clone_from(&event.name);
+    slot.span_path.clone_from(&event.span_path);
+    slot.fields.truncate(event.fields.len());
+    let reused = slot.fields.len();
+    for ((key, value), (src_key, src_value)) in slot.fields.iter_mut().zip(&event.fields) {
+        key.clone_from(src_key);
+        value.clone_from(src_value);
+    }
+    slot.fields.extend_from_slice(&event.fields[reused..]);
+}
+
 impl Sink for FlightRecorder {
     fn record(&self, event: &Event) {
         let mut inner = self.inner.borrow_mut();
         if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
+            let mut slot = inner.buf.pop_front().expect("a full ring is non-empty");
+            overwrite(&mut slot, event);
+            inner.buf.push_back(slot);
+        } else {
+            inner.buf.push_back(event.clone());
         }
-        inner.buf.push_back(event.clone());
-        let triggered =
-            event.level >= self.trigger_level || self.trigger_names.contains(&event.name);
+        let triggered = event.level >= self.trigger_level
+            || self.trigger_names.iter().any(|n| *n == event.name);
         if triggered && inner.dumps.len() < self.max_dumps {
             let events: Vec<Event> = inner.buf.iter().cloned().collect();
             inner.dumps.push(FlightDump {
                 trigger_seq: event.seq,
-                trigger_name: event.name.clone(),
+                trigger_name: event.name.to_string(),
                 events,
             });
         }
@@ -192,7 +218,7 @@ mod tests {
     use super::*;
     use crate::event::{EventKind, FieldValue};
 
-    fn ev(seq: u64, level: Level, name: &str) -> Event {
+    fn ev(seq: u64, level: Level, name: &'static str) -> Event {
         Event {
             seq,
             kind: EventKind::Event,
@@ -241,6 +267,28 @@ mod tests {
         assert_eq!(rec.dumps().len(), 2);
         assert_eq!(rec.take_dumps().len(), 2);
         assert!(rec.dumps().is_empty());
+    }
+
+    #[test]
+    fn overwritten_slots_equal_the_events_they_copy() {
+        let rec = FlightRecorder::with_capacity(2);
+        let mut wide = ev(0, Level::Info, "wide");
+        wide.span_path = vec!["campaign".into(), "setup".into()];
+        wide.fields
+            .push(("label".into(), FieldValue::Str("milc".into())));
+        let mut owned = ev(1, Level::Info, "owned");
+        owned.target = String::from("decoded::target").into();
+        owned.fields = vec![(String::from("key").into(), FieldValue::Bool(true))];
+        let narrow = ev(2, Level::Info, "narrow");
+        let mut trigger = ev(3, Level::Error, "boom");
+        trigger.span_path = vec!["campaign".into()];
+        trigger.fields.clear();
+        for e in [&wide, &owned, &narrow, &trigger] {
+            rec.record(e);
+        }
+        // Slot 0 held `wide`, then `narrow`; slot 1 held `owned`, then
+        // the trigger: each overwrite changed the shape of the event.
+        assert_eq!(rec.dumps()[0].events, vec![narrow, trigger]);
     }
 
     #[test]

@@ -211,11 +211,14 @@ impl CaptureSink {
 impl Sink for CaptureSink {
     fn record(&self, event: &Event) {
         let mut events = self.events.borrow_mut();
-        self.by_name
-            .borrow_mut()
-            .entry(event.name.clone())
-            .or_default()
-            .push(events.len());
+        let index = events.len();
+        let mut by_name = self.by_name.borrow_mut();
+        match by_name.get_mut(&*event.name) {
+            Some(indices) => indices.push(index),
+            None => {
+                by_name.insert(event.name.to_string(), vec![index]);
+            }
+        }
         events.push(event.clone());
     }
 

@@ -1,5 +1,6 @@
 //! Property tests: flight-recorder dumps must reproduce emission order
-//! exactly, for any interleaving of events, spans and severities, and
+//! exactly, for any interleaving of events, spans and severities (and
+//! however the shapes of the events that reuse a ring slot differ), and
 //! JSONL traces must round-trip losslessly.
 
 use proptest::prelude::*;
@@ -16,23 +17,43 @@ fn arb_level() -> impl Strategy<Value = Level> {
     ]
 }
 
+const SPAN_NAMES: [&str; 3] = ["campaign", "setup", "run"];
+
 /// One step of an arbitrary instrumented program.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Emit a point event at this level.
-    Emit(Level),
-    /// Enter a span (always `Info`, so only `Emit(Error)` triggers dumps).
-    Push,
+    /// Emit a point event at this level with this many fields (0–3;
+    /// two or more include a `Str` field, and each count puts a
+    /// different key first).
+    Emit(Level, usize),
+    /// Enter the span named `SPAN_NAMES[i]` (always `Info`, so only
+    /// `Emit(Error, _)` triggers dumps).
+    Push(usize),
     /// Exit the innermost open span, if any.
     Pop,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        arb_level().prop_map(Op::Emit),
-        Just(Op::Push),
+        (arb_level(), 0usize..4).prop_map(|(level, fields)| Op::Emit(level, fields)),
+        (0..SPAN_NAMES.len()).prop_map(Op::Push),
         Just(Op::Pop),
     ]
+}
+
+fn emit(level: Level, fields: usize, i: usize) {
+    match fields {
+        0 => telemetry::event!(level, "op"),
+        1 => telemetry::event!(level, "op", i = i),
+        2 => telemetry::event!(level, "op", label = format!("step-{i}"), i = i),
+        _ => telemetry::event!(
+            level,
+            "op",
+            half = i as f64 * 0.5,
+            i = i,
+            label = format!("step-{i}"),
+        ),
+    }
 }
 
 proptest! {
@@ -55,8 +76,8 @@ proptest! {
         let mut spans: Vec<SpanGuard> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
-                Op::Emit(level) => telemetry::event!(*level, "op", i = i),
-                Op::Push => spans.push(telemetry::span!(Level::Info, "s")),
+                Op::Emit(level, fields) => emit(*level, *fields, i),
+                Op::Push(name) => spans.push(telemetry::span!(Level::Info, SPAN_NAMES[*name])),
                 Op::Pop => {
                     spans.pop();
                 }

@@ -60,7 +60,7 @@ fn faulty_campaign_emits_the_expected_retry_and_quarantine_sequence() {
 
     // The forced hang at reset 0 makes the very first recovery retry; the
     // crashing setup then accumulates crash retries until quarantine.
-    let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+    let names: Vec<&str> = events.iter().map(|e| &*e.name).collect();
     let pos = |name: &str| {
         names
             .iter()
