@@ -41,71 +41,38 @@ fn main() {
     let run_fleet = || {
         let data = bench::fleet_scale::run(seed);
         println!("{}", bench::fleet_scale::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_fleet.json", &json) {
-            Ok(()) => println!("(speedup record written to BENCH_fleet.json)"),
-            Err(err) => eprintln!("could not write BENCH_fleet.json: {err}"),
-        }
+        bench::write_record("BENCH_fleet.json", "speedup", &data);
     };
     let run_chaos = || {
         let data = bench::chaos_scale::run(seed);
         println!("{}", bench::chaos_scale::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_chaos.json", &json) {
-            Ok(()) => println!("(crash-recovery record written to BENCH_chaos.json)"),
-            Err(err) => eprintln!("could not write BENCH_chaos.json: {err}"),
-        }
+        bench::write_record("BENCH_chaos.json", "crash-recovery", &data);
     };
     let run_lifetime = || {
         let data = bench::lifetime_scale::run(seed);
         println!("{}", bench::lifetime_scale::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_lifetime.json", &json) {
-            Ok(()) => println!("(aging record written to BENCH_lifetime.json)"),
-            Err(err) => eprintln!("could not write BENCH_lifetime.json: {err}"),
-        }
+        bench::write_record("BENCH_lifetime.json", "aging", &data);
     };
-
     let run_redteam = || {
         let data = bench::redteam_scale::run(seed);
         println!("{}", bench::redteam_scale::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_redteam.json", &json) {
-            Ok(()) => println!("(adversarial record written to BENCH_redteam.json)"),
-            Err(err) => eprintln!("could not write BENCH_redteam.json: {err}"),
-        }
+        bench::write_record("BENCH_redteam.json", "adversarial", &data);
     };
-
     let run_obs = || {
         let data = bench::obs_scale::run(seed);
         println!("{}", bench::obs_scale::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_obs.json", &json) {
-            Ok(()) => println!("(observatory record written to BENCH_obs.json)"),
-            Err(err) => eprintln!("could not write BENCH_obs.json: {err}"),
-        }
+        bench::write_record("BENCH_obs.json", "observatory", &data);
     };
-
     let run_serving = || {
         let data = bench::serving::run(seed);
         println!("{}", bench::serving::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_serving.json", &json) {
-            Ok(()) => println!("(serving record written to BENCH_serving.json)"),
-            Err(err) => eprintln!("could not write BENCH_serving.json: {err}"),
-        }
+        bench::write_record("BENCH_serving.json", "serving", &data);
     };
-
     let run_dispatch = || {
         let data = bench::dispatch_scale::run(seed);
         println!("{}", bench::dispatch_scale::render(&data));
-        let json = serde::json::to_string(&data);
-        match std::fs::write("BENCH_dispatch.json", &json) {
-            Ok(()) => println!("(dispatch record written to BENCH_dispatch.json)"),
-            Err(err) => eprintln!("could not write BENCH_dispatch.json: {err}"),
-        }
+        bench::write_record("BENCH_dispatch.json", "dispatch", &data);
     };
-
     match which {
         "fig4" => run_fig4(),
         "fig5" => run_fig5(),

@@ -18,7 +18,8 @@
 //! Wall-clock numbers measure the host and are NOT part of the
 //! reproducibility fingerprint.
 
-use dispatch::{run_dispatch_with_store, DispatchReport, DispatchSpec};
+use crate::{sweep_pools, POOLS};
+use dispatch::{run_dispatch_with_store, DispatchSpec};
 use fleet::{run_fleet, FleetCampaign, FleetConfig, FleetSpec};
 use rand::{fnv1a, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
@@ -27,9 +28,6 @@ use std::time::Instant;
 
 /// Fleet size dispatched over.
 pub const BOARDS: u32 = 8;
-
-/// Worker pools the identity claim covers.
-pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The benchmark dataset — the schema of `BENCH_dispatch.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,17 +91,12 @@ pub fn run(seed: u64) -> DispatchScaleData {
     .store;
 
     let base = spec(seed);
-    let reports: Vec<DispatchReport> = WORKER_COUNTS
-        .iter()
-        .map(|&workers| run_dispatch_with_store(&base, workers, &store))
-        .collect();
-    let reference = &reports[0];
-    let chronicle = reference.chronicle_json();
-    let observatory = reference.observatory_json();
-    let identical = reports.iter().all(|report| {
-        report.chronicle_json() == chronicle && report.observatory_json() == observatory
-    });
-    let chronicle_fingerprint = fnv1a(FNV_OFFSET, chronicle.as_bytes());
+    let (identical, runs) = sweep_pools(
+        |workers| run_dispatch_with_store(&base, workers, &store),
+        |report| (report.chronicle_json(), report.observatory_json()),
+    );
+    let reference = &runs[0].value;
+    let chronicle_fingerprint = fnv1a(FNV_OFFSET, reference.chronicle_json().as_bytes());
 
     let nominal = run_dispatch_with_store(&base.nominal_arm(), 4, &store);
     let dispatcher_watts_per_qps = reference.chronicle.watts_per_qps;
@@ -117,7 +110,7 @@ pub fn run(seed: u64) -> DispatchScaleData {
         seed,
         boards: BOARDS,
         requests: reference.chronicle.requests,
-        worker_counts: WORKER_COUNTS.to_vec(),
+        worker_counts: POOLS.to_vec(),
         identical,
         chronicle_fingerprint,
         dispatcher_watts_per_qps,

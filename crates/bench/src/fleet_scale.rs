@@ -10,13 +10,10 @@
 //! `fleet::schedule`). The dataset serializes to `BENCH_fleet.json` via
 //! the `experiments fleet` subcommand.
 
-use fleet::{run_fleet, FleetCampaign, FleetConfig, FleetSpec};
+use crate::sweep_pools;
+use fleet::{run_fleet, FleetCampaign, FleetConfig, FleetReport, FleetSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Pool sizes the fleet is re-run with.
-pub const POOLS: [usize; 4] = [1, 2, 4, 8];
 
 /// One pool size's record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,39 +61,28 @@ pub fn run(seed: u64) -> FleetScale {
 pub fn run_sized(boards: u32, seed: u64) -> FleetScale {
     let spec = FleetSpec::new(boards, seed);
     let campaign = FleetCampaign::quick();
-    let mut baseline: Option<String> = None;
-    let mut identical = true;
-    let mut characterized = 0;
-    let mut total_savings_watts = 0.0;
-    let mut sim_serial_seconds = 0.0;
-    let mut points = Vec::new();
-    for workers in POOLS {
-        let start = Instant::now();
-        let report = run_fleet(&spec, &campaign, &FleetConfig::with_workers(workers));
-        let host_wall_seconds = start.elapsed().as_secs_f64();
-        let json = report.characterization_json();
-        match &baseline {
-            None => baseline = Some(json),
-            Some(first) => identical &= *first == json,
-        }
-        characterized = report.characterization.stats.characterized;
-        total_savings_watts = report.characterization.stats.total_savings_watts;
-        sim_serial_seconds = report.characterization.sim_serial_seconds;
-        points.push(SpeedupPoint {
-            workers,
-            jobs: report.execution.jobs,
-            sim_makespan_seconds: report.execution.sim_makespan_seconds,
-            speedup: report.execution.speedup,
-            host_wall_seconds,
-        });
-    }
+    let (identical, runs) = sweep_pools(
+        |workers| run_fleet(&spec, &campaign, &FleetConfig::with_workers(workers)),
+        FleetReport::characterization_json,
+    );
+    let points = runs
+        .iter()
+        .map(|run| SpeedupPoint {
+            workers: run.workers,
+            jobs: run.value.execution.jobs,
+            sim_makespan_seconds: run.value.execution.sim_makespan_seconds,
+            speedup: run.value.execution.speedup,
+            host_wall_seconds: run.wall_seconds,
+        })
+        .collect();
+    let last = &runs.last().expect("POOLS is non-empty").value;
     FleetScale {
         boards,
         seed,
         identical,
-        characterized,
-        total_savings_watts,
-        sim_serial_seconds,
+        characterized: last.characterization.stats.characterized,
+        total_savings_watts: last.characterization.stats.total_savings_watts,
+        sim_serial_seconds: last.characterization.sim_serial_seconds,
         points,
     }
 }
@@ -139,6 +125,7 @@ pub fn render(data: &FleetScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::POOLS;
 
     #[test]
     fn small_fleet_scales_and_stays_identical() {

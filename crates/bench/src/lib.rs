@@ -24,7 +24,9 @@
 //! | [`dispatch_scale`] | extension: economic dispatch vs nominal-only ablation |
 //!
 //! The `experiments` binary drives all of them; the `benches/` directory
-//! holds criterion timings of the same entry points.
+//! holds criterion timings of the same entry points. The scaling
+//! benchmarks share one pool sweep ([`sweep_pools`] over [`POOLS`]) and
+//! one record writer ([`write_record`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -45,3 +47,55 @@ pub mod redteam_scale;
 pub mod serving;
 pub mod sweep;
 pub mod table1;
+
+use serde::Serialize;
+use std::time::Instant;
+
+/// Worker-pool sizes every scaling benchmark sweeps.
+pub const POOLS: [usize; 4] = [1, 2, 4, 8];
+
+/// One pool size's run inside [`sweep_pools`].
+#[derive(Debug)]
+pub struct PoolRun<T> {
+    /// Worker threads.
+    pub workers: usize,
+    /// Host wall-clock of the run, seconds (informational; varies with
+    /// the machine and is NOT part of any assertion).
+    pub wall_seconds: f64,
+    /// What the run returned.
+    pub value: T,
+}
+
+/// Runs `run` once per pool size in [`POOLS`], timing each call, and
+/// returns whether `identity` agrees across every pool together with
+/// one [`PoolRun`] per pool, in [`POOLS`] order.
+pub fn sweep_pools<T, K: PartialEq>(
+    mut run: impl FnMut(usize) -> T,
+    identity: impl Fn(&T) -> K,
+) -> (bool, Vec<PoolRun<T>>) {
+    let runs: Vec<PoolRun<T>> = POOLS
+        .iter()
+        .map(|&workers| {
+            let start = Instant::now();
+            let value = run(workers);
+            PoolRun {
+                workers,
+                wall_seconds: start.elapsed().as_secs_f64(),
+                value,
+            }
+        })
+        .collect();
+    let first = identity(&runs[0].value);
+    let identical = runs[1..].iter().all(|r| identity(&r.value) == first);
+    (identical, runs)
+}
+
+/// Writes `data` as JSON to `path` and prints
+/// `(<what> record written to <path>)`; a failed write is reported on
+/// stderr instead.
+pub fn write_record<T: Serialize>(path: &str, what: &str, data: &T) {
+    match std::fs::write(path, serde::json::to_string(data)) {
+        Ok(()) => println!("({what} record written to {path})"),
+        Err(err) => eprintln!("could not write {path}: {err}"),
+    }
+}

@@ -10,13 +10,10 @@
 //! The dataset serializes to `BENCH_lifetime.json` via the
 //! `experiments lifetime` subcommand.
 
-use lifetime::{run_deployment, DeploymentSpec, LifetimeConfig};
+use crate::{sweep_pools, POOLS};
+use lifetime::{run_deployment, DeploymentSpec, LifetimeConfig, LifetimeReport};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Pool sizes the deployment is replayed with.
-pub const POOLS: [usize; 4] = [1, 2, 4, 8];
 
 /// One pool size's record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,27 +69,19 @@ pub fn run(seed: u64) -> LifetimeScale {
 /// short horizons).
 pub fn run_sized(boards: u32, seed: u64, months: u32) -> LifetimeScale {
     let spec = DeploymentSpec::quick(boards, seed, months);
-    let mut baseline: Option<String> = None;
-    let mut identical = true;
-    let mut chronicle = None;
-    let mut points = Vec::new();
-    for workers in POOLS {
-        let start = Instant::now();
-        let report = run_deployment(&spec, &LifetimeConfig::with_workers(workers));
-        let host_wall_seconds = start.elapsed().as_secs_f64();
-        let json = report.chronicle_json();
-        match &baseline {
-            None => baseline = Some(json),
-            Some(first) => identical &= *first == json,
-        }
-        points.push(LifetimePoint {
-            workers,
-            jobs: report.execution.jobs,
-            host_wall_seconds,
-        });
-        chronicle = Some(report.chronicle);
-    }
-    let chronicle = chronicle.expect("POOLS is non-empty");
+    let (identical, runs) = sweep_pools(
+        |workers| run_deployment(&spec, &LifetimeConfig::with_workers(workers)),
+        LifetimeReport::chronicle_json,
+    );
+    let points = runs
+        .iter()
+        .map(|run| LifetimePoint {
+            workers: run.workers,
+            jobs: run.value.execution.jobs,
+            host_wall_seconds: run.wall_seconds,
+        })
+        .collect();
+    let chronicle = &runs.last().expect("POOLS is non-empty").value.chronicle;
     let ablation = run_deployment(
         &spec.without_maintenance(),
         &LifetimeConfig::with_workers(*POOLS.last().expect("POOLS is non-empty")),

@@ -11,6 +11,7 @@
 //! and CI gates on its `"identical": true` flag and the incident
 //! counts.
 
+use crate::sweep_pools;
 use lifetime::deployment::{
     run_deployment, DeploymentSpec, LifetimeConfig, LIFETIME_MARGIN_METRIC,
 };
@@ -21,9 +22,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use telemetry::Level;
 use xgene_sim::workload::WorkloadProfile;
-
-/// Pool sizes the scenarios are replayed with.
-pub const POOLS: [usize; 4] = [1, 2, 4, 8];
 
 /// One pool size's record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,27 +105,19 @@ fn run_with(
     let scenario = AttackScenario::hardened(epochs).with_onset(8);
     let virus = crafted_virus();
 
-    let mut identical = true;
-    let mut baseline: Option<String> = None;
-    let mut points = Vec::new();
-    let mut last = None;
-    for workers in POOLS {
-        let start = Instant::now();
-        let (reports, obs) = replay_observatory(&fleet, Some(&virus), &scenario, workers);
-        let host_wall_seconds = start.elapsed().as_secs_f64();
-        let json = obs.chronicle_json();
-        match &baseline {
-            None => baseline = Some(json),
-            Some(first) => identical &= *first == json,
-        }
-        points.push(ObsPoint {
-            workers,
-            timeline_events: obs.timeline.len() as u64,
-            host_wall_seconds,
-        });
-        last = Some((reports, obs));
-    }
-    let (reports, obs) = last.expect("POOLS is non-empty");
+    let (mut identical, runs) = sweep_pools(
+        |workers| replay_observatory(&fleet, Some(&virus), &scenario, workers),
+        |(_, obs)| obs.chronicle_json(),
+    );
+    let points = runs
+        .iter()
+        .map(|run| ObsPoint {
+            workers: run.workers,
+            timeline_events: run.value.1.timeline.len() as u64,
+            host_wall_seconds: run.wall_seconds,
+        })
+        .collect();
+    let (reports, obs) = &runs.last().expect("POOLS is non-empty").value;
 
     let redteam_incidents = obs.incidents_of(IncidentKind::AttackerQuarantine).count() as u64;
     let leads: Vec<f64> = reports
@@ -283,6 +273,7 @@ pub fn render(data: &ObsScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::POOLS;
 
     #[test]
     fn a_small_scenario_stays_identical_across_pools() {

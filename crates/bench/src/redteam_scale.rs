@@ -10,13 +10,10 @@
 //! `BENCH_redteam.json` via the `experiments redteam` subcommand, and CI
 //! gates on its `"holds": true` flag.
 
-use redteam::{replay_fleet, run_campaign, AttackScenario, CampaignConfig};
+use crate::{sweep_pools, POOLS};
+use redteam::{replay_fleet, run_campaign, AttackScenario, CampaignConfig, CampaignReport};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Pool sizes the campaign is replayed with.
-pub const POOLS: [usize; 4] = [1, 2, 4, 8];
 
 /// One pool size's record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,30 +78,24 @@ pub fn run_sized(boards: u32, seed: u64) -> RedteamScale {
 }
 
 fn run_with(mut config: CampaignConfig) -> RedteamScale {
-    let mut baseline: Option<String> = None;
-    let mut identical = true;
-    let mut points = Vec::new();
-    let mut last_report = None;
     let episodes =
         config.ga.population as u64 * u64::from(config.fleet.boards) * config.ga.generations as u64;
-    for workers in POOLS {
-        config.workers = workers;
-        let start = Instant::now();
-        let report = run_campaign(&config);
-        let host_wall_seconds = start.elapsed().as_secs_f64();
-        let json = report.chronicle_json();
-        match &baseline {
-            None => baseline = Some(json),
-            Some(first) => identical &= *first == json,
-        }
-        points.push(RedteamPoint {
-            workers,
+    let (identical, runs) = sweep_pools(
+        |workers| {
+            config.workers = workers;
+            run_campaign(&config)
+        },
+        CampaignReport::chronicle_json,
+    );
+    let points = runs
+        .iter()
+        .map(|run| RedteamPoint {
+            workers: run.workers,
             episodes,
-            host_wall_seconds,
-        });
-        last_report = Some(report);
-    }
-    let report = last_report.expect("POOLS is non-empty");
+            host_wall_seconds: run.wall_seconds,
+        })
+        .collect();
+    let report = &runs.last().expect("POOLS is non-empty").value;
     let champion = report.champion_profile();
     let replay_workers = *POOLS.last().expect("POOLS is non-empty");
 

@@ -295,12 +295,21 @@ impl CampaignRunner {
     /// persist the manifest and stop the executor thread. Blocks until
     /// the thread exits.
     pub fn drain(&self) {
+        self.stop_executor();
+        self.shared.persist();
+    }
+
+    /// Raises `draining` and joins the executor thread. The flag is
+    /// stored under the runner lock, so the executor cannot check it,
+    /// miss the store and then sleep through the wake-up.
+    fn stop_executor(&self) {
+        let inner = self.shared.inner.lock().expect("runner lock poisoned");
         self.shared.draining.store(true, Ordering::SeqCst);
+        drop(inner);
         self.shared.wake.notify_all();
         if let Some(handle) = self.worker.lock().expect("worker slot poisoned").take() {
             let _ = handle.join();
         }
-        self.shared.persist();
     }
 
     /// Whether the runner has fully drained (no queued or running work).
@@ -316,11 +325,7 @@ impl CampaignRunner {
 
 impl Drop for CampaignRunner {
     fn drop(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
-        if let Some(handle) = self.worker.lock().expect("worker slot poisoned").take() {
-            let _ = handle.join();
-        }
+        self.stop_executor();
     }
 }
 
@@ -339,11 +344,7 @@ impl RunnerShared {
                     if let Some(id) = inner.queue.pop_front() {
                         break Some(id);
                     }
-                    inner = self
-                        .wake
-                        .wait_timeout(inner, std::time::Duration::from_millis(50))
-                        .expect("runner lock poisoned")
-                        .0;
+                    inner = self.wake.wait(inner).expect("runner lock poisoned");
                 }
             };
             let Some(id) = id else { return };

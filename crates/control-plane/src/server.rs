@@ -4,13 +4,13 @@
 //!
 //! # Threading model
 //!
-//! One acceptor thread blocks on `accept` and pushes connections into a
-//! bounded queue; `workers` threads pop connections and serve them to
-//! completion (HTTP/1.1 keep-alive with pipelining, one connection per
-//! worker at a time). The queue bound is the overload valve: when every
-//! worker is busy and the backlog is full, the acceptor answers `503`
-//! inline and closes — the server sheds load instead of queueing
-//! unboundedly.
+//! One acceptor thread blocks on `accept` and offers connections to a
+//! bounded FIFO (the fleet's [`FleetQueue`], `workers + backlog` deep);
+//! `workers` threads pop connections and serve them to completion
+//! (HTTP/1.1 keep-alive with pipelining, one connection per worker at a
+//! time). The queue bound is the overload valve: when every worker is
+//! busy and the backlog is full, the acceptor answers `503` inline and
+//! closes — the server sheds load instead of queueing unboundedly.
 //!
 //! # Deadlines
 //!
@@ -32,11 +32,11 @@
 
 use crate::http::{parse_request, Limits, Parsed, Response};
 use crate::router::Router;
-use std::collections::VecDeque;
+use fleet::FleetQueue;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -65,54 +65,6 @@ impl Default for ServerConfig {
             io_timeout: Duration::from_secs(5),
             limits: Limits::default(),
         }
-    }
-}
-
-struct ConnQueue {
-    queue: Mutex<(VecDeque<TcpStream>, bool)>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl ConnQueue {
-    fn new(cap: usize) -> Self {
-        ConnQueue {
-            queue: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Enqueues unless full; a full queue hands the stream back so the
-    /// caller can shed it.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut guard = self.queue.lock().expect("conn queue poisoned");
-        if guard.0.len() >= self.cap {
-            return Err(stream);
-        }
-        guard.0.push_back(stream);
-        drop(guard);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next connection; `None` once closed and empty.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut guard = self.queue.lock().expect("conn queue poisoned");
-        loop {
-            if let Some(stream) = guard.0.pop_front() {
-                return Some(stream);
-            }
-            if guard.1 {
-                return None;
-            }
-            guard = self.ready.wait(guard).expect("conn queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.queue.lock().expect("conn queue poisoned").1 = true;
-        self.ready.notify_all();
     }
 }
 
@@ -173,15 +125,16 @@ pub fn serve(router: Arc<Router>, config: ServerConfig) -> std::io::Result<Serve
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stopping = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(ConnQueue::new(config.workers + config.backlog));
+    let pool = config.workers.max(1);
+    let queue = Arc::new(FleetQueue::new(pool, pool + config.backlog, 1));
 
-    let workers = (0..config.workers.max(1))
-        .map(|_| {
+    let workers = (0..pool)
+        .map(|w| {
             let queue = queue.clone();
             let router = router.clone();
             let config = config.clone();
             std::thread::spawn(move || {
-                while let Some(stream) = queue.pop() {
+                while let Some(stream) = queue.next(w) {
                     serve_connection(stream, &router, &config);
                 }
             })
@@ -199,7 +152,7 @@ pub fn serve(router: Arc<Router>, config: ServerConfig) -> std::io::Result<Serve
                 }
                 let Ok(stream) = stream else { continue };
                 router.metrics().connection_opened();
-                if let Err(mut shed) = queue.push(stream) {
+                if let Err(mut shed) = queue.try_push(stream) {
                     // Overload valve: every worker busy and the backlog
                     // full. Answer 503 inline and close rather than
                     // queueing unboundedly.
@@ -332,6 +285,45 @@ mod tests {
         let response = roundtrip(server.addr(), "NOT A REQUEST\r\n\r\n");
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
         assert!(response.contains("connection: close"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_full_backlog_sheds_with_a_503_and_a_close() {
+        let state = Arc::new(ControlState::new());
+        let runner = CampaignRunner::in_memory(state.clone());
+        let router = Arc::new(Router::new(state, runner, Arc::new(ServerMetrics::new())));
+        let config = ServerConfig {
+            workers: 1,
+            backlog: 0,
+            io_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        };
+        let server = serve(router, config).expect("bind");
+        let addr = server.addr();
+        // A keeps its connection alive, so the only worker now blocks
+        // reading A's next request.
+        let mut a = TcpStream::connect(addr).expect("connect A");
+        a.write_all(b"GET /v1/status HTTP/1.1\r\n\r\n")
+            .expect("send A");
+        let mut head = [0u8; 12];
+        a.read_exact(&mut head).expect("A is answered");
+        assert_eq!(&head, b"HTTP/1.1 200");
+        // B takes the queue's one slot and waits there.
+        let mut b = TcpStream::connect(addr).expect("connect B");
+        b.write_all(b"GET /v1/status HTTP/1.1\r\nconnection: close\r\n\r\n")
+            .expect("send B");
+        // C finds the queue full: the acceptor answers 503 and closes.
+        let shed = roundtrip(addr, "");
+        assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
+        assert!(shed.contains("connection: close"), "{shed}");
+        // Freeing the worker lets B through.
+        drop(a);
+        let _ = b.set_read_timeout(Some(Duration::from_secs(10)));
+        let mut served = Vec::new();
+        let _ = b.read_to_end(&mut served);
+        let served = String::from_utf8_lossy(&served);
+        assert!(served.starts_with("HTTP/1.1 200 OK"), "{served}");
         server.shutdown();
     }
 

@@ -13,7 +13,7 @@
 //!    and the campaign: the full `char-fw` resilient Vmin walk, the
 //!    per-bank DRAM retention floor, the derived safe point and a
 //!    simulated cost in board-seconds;
-//! 3. [`orchestrator`] — dispatch through the bounded batched [`queue`]
+//! 3. [`orchestrator`] — dispatch through the bounded FIFO [`queue`]
 //!    is intentionally racy, but aggregation sorts every outcome by
 //!    `(board, attempt)` before folding, and the safe-point database
 //!    ([`SafePointStore`]) is an order-independent semilattice.
@@ -82,6 +82,6 @@ pub use orchestrator::{
     FleetConfig, FleetInterrupted, CHECKPOINT_EVERY,
 };
 pub use population::{BoardSpec, CornerMix, FleetSpec};
-pub use queue::{par_map_ordered, FleetQueue, QueueStats};
+pub use queue::{par_map_ordered, FleetQueue};
 pub use report::{FleetCharacterization, FleetExecution, FleetReport, JobSummary};
 pub use schedule::ScheduleModel;

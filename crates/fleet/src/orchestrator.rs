@@ -1,7 +1,7 @@
 //! The fleet coordinator: shard, execute, evict, merge.
 //!
 //! There is one coordinator loop, [`run_fleet_durable`]. It seeds a
-//! bounded batched [`FleetQueue`] with one job per board, runs them on a
+//! bounded FIFO [`FleetQueue`] with one job per board, runs them on a
 //! pool of worker threads, listens for outcomes, and re-queues any board
 //! the safety net evicted (breaker tripped) with a raised search floor —
 //! journaling every claim, completion and merge before acting on it.
@@ -18,7 +18,7 @@
 use crate::job::{self, BoardOutcome, FleetCampaign, FleetJob};
 use crate::journal::{FleetJournal, JournalDamage, JournalEntry, JournalStore, MemStore};
 use crate::population::FleetSpec;
-use crate::queue::{FleetQueue, QueueStats};
+use crate::queue::FleetQueue;
 use crate::report::{FleetCharacterization, FleetExecution, FleetReport, JobSummary};
 use crate::schedule::ScheduleModel;
 use guardband_core::safepoint::SafePointStore;
@@ -126,9 +126,11 @@ fn assemble_observatory(
 pub struct FleetConfig {
     /// Worker threads.
     pub workers: usize,
-    /// Injector bound (backpressure on the coordinator).
+    /// Queue bound (backpressure on the coordinator).
     pub queue_capacity: usize,
-    /// Jobs a worker refills its local deque with per injector visit.
+    /// Does nothing: a worker takes one job at a time from the queue's
+    /// front. It stays so the benchmark package keeps compiling; the next
+    /// change to the benchmark removes it.
     pub batch_size: usize,
     /// Characterization attempts per board (1 = never re-queue).
     pub max_attempts: u32,
@@ -184,7 +186,6 @@ fn aggregate(
     config: &FleetConfig,
     mut outcomes: Vec<BoardOutcome>,
     per_worker_jobs: Vec<u64>,
-    queue_stats: QueueStats,
 ) -> FleetReport {
     outcomes.sort_by_key(|o| (o.board, o.attempt));
     // Every attempt past the first is an eviction's follow-up.
@@ -264,7 +265,7 @@ fn aggregate(
         campaign_counters,
         sim_serial_seconds: plan.serial_seconds,
     };
-    let execution = FleetExecution::new(queue_stats, per_worker_jobs, requeues, &plan);
+    let execution = FleetExecution::new(per_worker_jobs, requeues, &plan);
     let observatory = assemble_observatory(&outcomes, &characterization.store, config).finish();
     FleetReport {
         characterization,
@@ -287,8 +288,7 @@ pub struct Disruption {
     pub kill_coordinator_after: Option<u64>,
     /// `(worker, after_jobs)`: the worker dies *holding its next job*
     /// after completing `after_jobs` — modelling a lease expiry whose
-    /// in-flight job and the rest of its batch must come back exactly
-    /// once.
+    /// in-flight job, the only one it holds, must come back exactly once.
     pub worker_deaths: Vec<(usize, u64)>,
     /// Deliver the first N completions twice — at-least-once queue
     /// semantics. Duplicates must be absorbed by idempotent merges and
@@ -372,10 +372,7 @@ pub struct DurableRun {
 
 enum WorkerMsg {
     Done(BoardOutcome),
-    Died {
-        worker: usize,
-        in_flight: Option<FleetJob>,
-    },
+    Died { worker: usize, in_flight: FleetJob },
 }
 
 /// The fleet coordinator loop, crash-consistent: every claim, completion
@@ -385,9 +382,9 @@ enum WorkerMsg {
 /// coordinator re-runs *only* unfinished jobs — recomputing the
 /// expected-job closure from journaled completions with the same
 /// [`eviction_floor`] predicate the live loop uses, which is sound
-/// because job execution is pure. Dead workers surrender the rest of
-/// their batch and their in-flight job exactly once; a pool that shrinks
-/// keeps going, a pool that empties returns [`FleetInterrupted::PoolLost`].
+/// because job execution is pure. A dead worker's in-flight job, the only
+/// one it holds, is re-queued exactly once; a pool that shrinks keeps
+/// going, a pool that empties returns [`FleetInterrupted::PoolLost`].
 ///
 /// # Errors
 ///
@@ -542,13 +539,11 @@ pub fn run_fleet_durable<S: JournalStore>(
                     let mut jobs = 0u64;
                     while let Some(next) = queue.next(w) {
                         if death_at == Some(jobs) {
-                            // Die holding the job: surrender the rest of
-                            // the batch and report the in-flight item so
-                            // the coordinator re-queues it exactly once.
-                            queue.retire(w);
+                            // Die holding the job: report it so the
+                            // coordinator re-queues it exactly once.
                             let _ = tx.send(WorkerMsg::Died {
                                 worker: w,
-                                in_flight: Some(next),
+                                in_flight: next,
                             });
                             return jobs;
                         }
@@ -662,16 +657,9 @@ pub fn run_fleet_durable<S: JournalStore>(
                 WorkerMsg::Died { worker, in_flight } => {
                     alive -= 1;
                     stats.workers_lost += 1;
-                    event!(
-                        Level::Warn,
-                        "fleet_worker_died",
-                        worker = worker as u64,
-                        holding = in_flight.is_some(),
-                    );
+                    event!(Level::Warn, "fleet_worker_died", worker = worker as u64);
                     counter!("fleet_worker_deaths_total", 1);
-                    if let Some(fleet_job) = in_flight {
-                        claim(journal, fleet_job);
-                    }
+                    claim(journal, in_flight);
                     if alive == 0 {
                         interrupted = Some(FleetInterrupted::PoolLost {
                             completions: processed,
@@ -703,7 +691,7 @@ pub fn run_fleet_durable<S: JournalStore>(
     // exactly one outcome per `(board, attempt)`, the same multiset an
     // uninterrupted run produces — already in sorted order.
     let outcomes: Vec<BoardOutcome> = completed.into_values().collect();
-    let report = aggregate(spec, config, outcomes, per_worker_jobs, queue.stats());
+    let report = aggregate(spec, config, outcomes, per_worker_jobs);
     Ok(DurableRun { report, stats })
 }
 
@@ -854,6 +842,9 @@ mod tests {
         let durable = run_fleet_durable(&spec, &campaign, &config, &mut journal, &deaths)
             .expect("one worker survives");
         assert_eq!(durable.stats.workers_lost, 2);
+        // Duplicate merges are idempotent, so the bytes alone cannot show
+        // a job that ran twice; the executed count can.
+        assert_eq!(durable.stats.executed_jobs, baseline.execution.jobs);
         assert_eq!(
             baseline.characterization_json(),
             durable.report.characterization_json()

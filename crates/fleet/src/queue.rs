@@ -1,16 +1,16 @@
-//! The fleet's two worker pools: a bounded batched job queue for
-//! campaigns whose backlog changes mid-run, and [`par_map_ordered`] for
-//! fixed batches.
+//! The fleet's two worker pools: [`FleetQueue`], one bounded FIFO for
+//! work that arrives while the pool runs, and [`par_map_ordered`] for a
+//! fixed set of items.
 //!
-//! [`FleetQueue`]: the coordinator pushes jobs into a bounded
-//! *injector*; each worker drains a private local deque, refilling it in
-//! batches from the injector. The local deques sit behind the same lock
-//! as the injector, so every [`FleetQueue::next`] takes that lock;
-//! batching only saves `not_full` wake-ups of a blocked coordinator. Its
-//! cost is that one worker can hold up to `batch - 1` unstarted jobs that
-//! idle workers cannot take. The queue is dynamic because the coordinator
-//! re-queues evicted boards while the run is in flight, and a dying
-//! worker hands its batch back.
+//! [`FleetQueue`] is a `Mutex` over a `VecDeque` and a closed flag, with
+//! one condvar for "not empty" and one for "not full". Every
+//! [`FleetQueue::next`] pops the front item, so no consumer ever holds
+//! an item another could run. The fleet coordinator pushes jobs into it
+//! (blocking while it is full: backpressure), re-queues evicted boards
+//! while the run is in flight, and re-queues the one job a dying worker
+//! held. The control plane's acceptor queues connections in one with
+//! [`FleetQueue::try_push`], which hands a connection back when the
+//! queue is full so the acceptor can shed it.
 //!
 //! The queue only decides *which worker runs which job when* — job
 //! results are pure functions of the job, and the aggregation layer
@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Maps `f` over `items` on a pool of scoped threads and returns the
@@ -69,143 +69,104 @@ pub fn par_map_ordered<T: Sync, R: Send>(
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Counters describing how work actually flowed through the queue.
-/// Execution-side diagnostics only: never part of deterministic output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Jobs pushed by the coordinator.
-    pub pushed: u64,
-    /// Batch refills from the injector into a worker's local deque.
-    pub batches: u64,
-    /// Jobs surrendered back to the injector by retiring workers.
-    pub returned: u64,
-}
-
 #[derive(Debug)]
 struct Shared<T> {
-    injector: VecDeque<T>,
-    locals: Vec<VecDeque<T>>,
+    items: VecDeque<T>,
     closed: bool,
-    stats: QueueStats,
 }
 
-/// A bounded multi-producer batched job queue for `workers` consumers.
+/// A bounded multi-producer, multi-consumer FIFO.
+///
+/// A push or a pop changes the queue by one item, so it wakes one waiter
+/// on the other side; [`close`](Self::close) wakes every waiter.
 #[derive(Debug)]
 pub struct FleetQueue<T> {
     shared: Mutex<Shared<T>>,
-    not_full: Condvar,
     not_empty: Condvar,
+    not_full: Condvar,
     capacity: usize,
-    batch: usize,
 }
 
 impl<T> FleetQueue<T> {
-    /// Creates a queue for `workers` consumers with a bounded injector.
+    /// Creates a queue that holds at most `capacity` items.
+    ///
+    /// `_workers` and `_batch` do nothing: any consumer takes the front
+    /// item. They stay so the benchmark package keeps compiling; the next
+    /// change to the benchmark removes them.
     ///
     /// # Panics
     ///
-    /// Panics if `workers`, `capacity` or `batch` is zero.
-    pub fn new(workers: usize, capacity: usize, batch: usize) -> Self {
-        assert!(workers > 0, "queue needs at least one worker");
+    /// Panics if `capacity` is zero.
+    pub fn new(_workers: usize, capacity: usize, _batch: usize) -> Self {
         assert!(capacity > 0, "queue needs positive capacity");
-        assert!(batch > 0, "dispatch batch must be positive");
         FleetQueue {
             shared: Mutex::new(Shared {
-                injector: VecDeque::new(),
-                locals: (0..workers).map(|_| VecDeque::new()).collect(),
+                items: VecDeque::new(),
                 closed: false,
-                stats: QueueStats::default(),
             }),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
+            not_full: Condvar::new(),
             capacity,
-            batch,
         }
     }
 
-    /// Pushes one job, blocking while the injector is at capacity.
-    /// Pushing after [`close`](Self::close) is a no-op (the job is
-    /// dropped); the orchestrator never does this.
-    pub fn push(&self, job: T) {
-        let mut shared = self.shared.lock().expect("fleet queue poisoned");
-        while shared.injector.len() >= self.capacity && !shared.closed {
-            shared = self.not_full.wait(shared).expect("fleet queue poisoned");
+    /// Every critical section leaves the deque and the flag whole, so a
+    /// panic that poisoned the lock left nothing half-updated.
+    fn lock(&self) -> MutexGuard<'_, Shared<T>> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `item`, blocking while the queue holds `capacity` items.
+    /// After [`close`](Self::close) the item is dropped; the
+    /// orchestrator never pushes after closing.
+    pub fn push(&self, item: T) {
+        let mut shared = self
+            .not_full
+            .wait_while(self.lock(), |s| s.items.len() >= self.capacity && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        if !shared.closed {
+            shared.items.push_back(item);
+            drop(shared);
+            self.not_empty.notify_one();
         }
-        if shared.closed {
-            return;
+    }
+
+    /// Appends `item` without blocking, or hands it back when the queue
+    /// is full or closed.
+    pub fn try_push(&self, item: T) -> Result<(), T> {
+        let mut shared = self.lock();
+        if shared.closed || shared.items.len() >= self.capacity {
+            return Err(item);
         }
-        shared.injector.push_back(job);
-        shared.stats.pushed += 1;
+        shared.items.push_back(item);
         drop(shared);
-        self.not_empty.notify_all();
+        self.not_empty.notify_one();
+        Ok(())
     }
 
-    /// Takes the next job for `worker`, blocking until one is available
-    /// or the queue is closed and fully drained (then `None`).
-    ///
-    /// Preference order: own local deque, then a batch refill from the
-    /// injector.
-    pub fn next(&self, worker: usize) -> Option<T> {
-        let mut shared = self.shared.lock().expect("fleet queue poisoned");
-        loop {
-            if let Some(job) = shared.locals[worker].pop_front() {
-                return Some(job);
-            }
-            if !shared.injector.is_empty() {
-                let take = self.batch.min(shared.injector.len());
-                let Shared {
-                    injector, locals, ..
-                } = &mut *shared;
-                locals[worker].extend(injector.drain(..take));
-                shared.stats.batches += 1;
-                self.not_full.notify_all();
-                continue;
-            }
-            if shared.closed {
-                return None;
-            }
-            shared = self.not_empty.wait(shared).expect("fleet queue poisoned");
-        }
-    }
-
-    /// Retires `worker`: the rest of its batch goes back to the *front*
-    /// of the injector exactly once, preserving dispatch order, and other
-    /// workers are woken to pick the returned items up. A retired
-    /// worker that calls [`next`](Self::next) again just competes for
-    /// work normally (its deque is empty, not poisoned); the
-    /// orchestrator's dead-worker path never does.
-    ///
-    /// Returns how many items the dying worker surrendered.
-    pub fn retire(&self, worker: usize) -> usize {
-        let mut shared = self.shared.lock().expect("fleet queue poisoned");
-        let held = std::mem::take(&mut shared.locals[worker]);
-        let returned = held.len();
-        // Front-of-injector, original order: the first surrendered item
-        // was the next one the worker would have run.
-        for job in held.into_iter().rev() {
-            shared.injector.push_front(job);
-        }
-        shared.stats.returned += returned as u64;
+    /// Pops the front item, blocking until one arrives; `None` once the
+    /// queue is closed and empty. `_worker` does nothing and goes with
+    /// the next change to the benchmark, like [`new`](Self::new)'s
+    /// `_workers` and `_batch`.
+    pub fn next(&self, _worker: usize) -> Option<T> {
+        let mut shared = self
+            .not_empty
+            .wait_while(self.lock(), |s| s.items.is_empty() && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        let item = shared.items.pop_front();
         drop(shared);
-        if returned > 0 {
-            self.not_empty.notify_all();
+        if item.is_some() {
+            self.not_full.notify_one();
         }
-        returned
+        item
     }
 
-    /// Closes the queue: blocked consumers drain the remaining jobs and
-    /// then observe `None`; blocked producers unblock.
+    /// Closes the queue: consumers drain the remaining items and then
+    /// get `None`; blocked producers return.
     pub fn close(&self) {
-        let mut shared = self.shared.lock().expect("fleet queue poisoned");
-        shared.closed = true;
-        drop(shared);
+        self.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Current flow counters.
-    pub fn stats(&self) -> QueueStats {
-        self.shared.lock().expect("fleet queue poisoned").stats
     }
 }
 
@@ -224,9 +185,33 @@ mod tests {
         queue.close();
         let drained: Vec<i32> = std::iter::from_fn(|| queue.next(0)).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-        let stats = queue.stats();
-        assert_eq!(stats.pushed, 5);
-        assert!(stats.batches >= 2, "batch of 3 needs two refills");
+    }
+
+    #[test]
+    fn an_idle_worker_takes_the_next_queued_job() {
+        let queue = FleetQueue::new(2, 16, 4);
+        for job in 0..8 {
+            queue.push(job);
+        }
+        queue.close();
+        // No worker holds jobs it has not started: worker 1 gets the job
+        // right behind worker 0's.
+        assert_eq!(queue.next(0), Some(0));
+        assert_eq!(queue.next(1), Some(1));
+    }
+
+    #[test]
+    fn try_push_hands_the_item_back_when_full_or_closed() {
+        let queue = FleetQueue::new(1, 2, 1);
+        assert_eq!(queue.try_push(1), Ok(()));
+        assert_eq!(queue.try_push(2), Ok(()));
+        assert_eq!(queue.try_push(3), Err(3), "full");
+        assert_eq!(queue.next(0), Some(1));
+        assert_eq!(queue.try_push(3), Ok(()), "a pop frees a slot");
+        queue.close();
+        assert_eq!(queue.try_push(4), Err(4), "closed");
+        let drained: Vec<i32> = std::iter::from_fn(|| queue.next(0)).collect();
+        assert_eq!(drained, vec![2, 3]);
     }
 
     #[test]
@@ -258,29 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn a_retiring_worker_returns_its_batch_exactly_once() {
-        let queue = FleetQueue::new(2, 16, 4);
-        for job in 0..8 {
-            queue.push(job);
-        }
-        queue.close();
-        // Worker 0 refills with jobs 0..4 and worker 1 with 4..8; worker 1
-        // then dies holding the rest of its batch.
-        assert_eq!(queue.next(0), Some(0));
-        assert_eq!(queue.next(1), Some(4));
-        assert_eq!(queue.retire(1), 3, "the dead worker held 5, 6 and 7");
-        assert_eq!(queue.stats().returned, 3);
-        // Retiring again surrenders nothing: the return happened once.
-        assert_eq!(queue.retire(1), 0);
-        assert_eq!(queue.stats().returned, 3);
-        // The survivor finishes its own batch, then finds the surrendered
-        // one at the front of the injector, in order — none lost, none
-        // duplicated.
-        let drained: Vec<i32> = std::iter::from_fn(|| queue.next(0)).collect();
-        assert_eq!(drained, vec![1, 2, 3, 5, 6, 7]);
-    }
-
-    #[test]
     fn par_map_ordered_matches_a_sequential_map() {
         for len in [0u64, 1, 37] {
             let items: Vec<u64> = (0..len).collect();
@@ -301,13 +263,6 @@ mod tests {
             assert_ne!(x, 5, "item 5 failed");
             x
         });
-    }
-
-    #[test]
-    fn retiring_an_idle_worker_is_a_no_op() {
-        let queue = FleetQueue::<u32>::new(2, 4, 2);
-        assert_eq!(queue.retire(0), 0);
-        assert_eq!(queue.stats().returned, 0);
     }
 
     #[test]

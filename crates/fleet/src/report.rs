@@ -6,11 +6,10 @@
 //! byte-identical across worker counts, and
 //! [`FleetReport::characterization_json`] is the string the e2e test and
 //! the bench compare. [`FleetExecution`] holds everything about *how*
-//! the run was executed — pool size, queue flow, per-worker job counts,
-//! modeled makespan — which legitimately varies with the pool and is
+//! the run was executed — pool size, per-worker job counts, modeled
+//! makespan — which legitimately varies with the pool and is
 //! therefore kept out of the comparison.
 
-use crate::queue::QueueStats;
 use crate::schedule::ScheduleModel;
 use guardband_core::safepoint::{FleetStats, SafePointStore};
 use observatory::ObservatoryReport;
@@ -72,10 +71,6 @@ pub struct FleetExecution {
     pub jobs: u64,
     /// Boards the safety net evicted and re-queued.
     pub requeues: u64,
-    /// Jobs the coordinator pushed.
-    pub queue_pushed: u64,
-    /// Batch refills from the injector.
-    pub queue_batches: u64,
     /// Jobs each worker actually ran.
     pub per_worker_jobs: Vec<u64>,
     /// Modeled makespan of the pool, simulated seconds.
@@ -86,18 +81,11 @@ pub struct FleetExecution {
 
 impl FleetExecution {
     /// Builds the execution record from the run's scheduling artifacts.
-    pub fn new(
-        queue: QueueStats,
-        per_worker_jobs: Vec<u64>,
-        requeues: u64,
-        plan: &ScheduleModel,
-    ) -> Self {
+    pub fn new(per_worker_jobs: Vec<u64>, requeues: u64, plan: &ScheduleModel) -> Self {
         FleetExecution {
             workers: plan.workers,
             jobs: per_worker_jobs.iter().sum(),
             requeues,
-            queue_pushed: queue.pushed,
-            queue_batches: queue.batches,
             per_worker_jobs,
             sim_makespan_seconds: plan.makespan_seconds,
             speedup: plan.speedup(),
@@ -172,9 +160,8 @@ impl FleetReport {
         );
         let _ = writeln!(
             out,
-            "pool: {} worker(s), modeled makespan {:.0} s of {:.0} s serial (speedup {:.2}x), \
-             {} batch refill(s)",
-            x.workers, x.sim_makespan_seconds, c.sim_serial_seconds, x.speedup, x.queue_batches
+            "pool: {} worker(s), modeled makespan {:.0} s of {:.0} s serial (speedup {:.2}x)",
+            x.workers, x.sim_makespan_seconds, c.sim_serial_seconds, x.speedup
         );
         out
     }
@@ -197,12 +184,7 @@ mod tests {
                 campaign_counters: Vec::new(),
                 sim_serial_seconds: 0.0,
             },
-            execution: FleetExecution::new(
-                QueueStats::default(),
-                vec![0, 0],
-                0,
-                &ScheduleModel::plan(&[], 2),
-            ),
+            execution: FleetExecution::new(vec![0, 0], 0, &ScheduleModel::plan(&[], 2)),
             observatory: ObservatoryReport::default(),
         }
     }
@@ -211,7 +193,7 @@ mod tests {
     fn characterization_json_ignores_the_execution_side() {
         let a = report();
         let mut b = report();
-        b.execution.queue_batches = 99;
+        b.execution.requeues = 99;
         b.execution.per_worker_jobs = vec![7, 3];
         assert_ne!(a, b);
         assert_eq!(a.characterization_json(), b.characterization_json());
