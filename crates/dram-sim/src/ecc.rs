@@ -138,8 +138,73 @@ pub struct Secded72 {
 /// hold the 7 Hamming check bits; the remaining 64 positions hold data bits
 /// in ascending order. Code-word bit 71 (the 72nd bit) holds the overall
 /// parity of positions `1..=71`.
-fn is_check_position(pos: u32) -> bool {
-    pos.is_power_of_two()
+///
+/// The data bits therefore sit in six runs between the check positions,
+/// listed as `(first data bit, first code bit, run length)`: data bit 0 at
+/// code bit 2, 1–3 at 4–6, 4–10 at 8–14, 11–25 at 16–30, 26–56 at 32–62
+/// and 57–63 at 64–70.
+const DATA_RUNS: [(u32, u32, u32); 6] = [
+    (0, 2, 1),
+    (1, 4, 3),
+    (4, 8, 7),
+    (11, 16, 15),
+    (26, 32, 31),
+    (57, 64, 7),
+];
+
+/// Code bits `0..=70`: Hamming positions `1..=71`.
+const HAMMING_BITS: u128 = (1 << 71) - 1;
+/// All 72 code bits.
+const CODE_MASK: u128 = (1 << CODE_BITS) - 1;
+
+/// `SYNDROME_MASKS[k]` selects the code bits whose Hamming position has bit
+/// `k` set. The parity of a word under mask `k` is syndrome bit `k`; on a
+/// word holding only data bits it is check bit `k`, which sits at position
+/// `1 << k` and so under mask `k` alone.
+const SYNDROME_MASKS: [u128; 7] = syndrome_masks();
+
+const fn syndrome_masks() -> [u128; 7] {
+    let mut masks = [0u128; 7];
+    let mut k = 0;
+    while k < 7 {
+        let mut pos = 1u32;
+        while pos <= 71 {
+            if pos & (1 << k) != 0 {
+                masks[k] |= 1 << (pos - 1);
+            }
+            pos += 1;
+        }
+        k += 1;
+    }
+    masks
+}
+
+/// Parity (0 or 1) of the bits of `word` under `mask`.
+#[inline]
+fn parity(word: u128, mask: u128) -> u32 {
+    (word & mask).count_ones() & 1
+}
+
+/// Places the 64 data bits at their code positions; check bits stay 0.
+#[inline]
+fn scatter(data: u64) -> u128 {
+    let mut word = 0u128;
+    for (data_bit, code_bit, len) in DATA_RUNS {
+        let run = (data >> data_bit) & (u64::MAX >> (64 - len));
+        word |= u128::from(run) << code_bit;
+    }
+    word
+}
+
+/// Inverse of [`scatter`]: reads the 64 data bits back out of a code word.
+#[inline]
+fn gather(word: u128) -> u64 {
+    let mut data = 0u64;
+    for (data_bit, code_bit, len) in DATA_RUNS {
+        let run = (word >> code_bit) as u64 & (u64::MAX >> (64 - len));
+        data |= run << data_bit;
+    }
+    data
 }
 
 impl Secded72 {
@@ -149,53 +214,31 @@ impl Secded72 {
     }
 
     /// Encodes a 64-bit payload into a 72-bit code word.
+    #[inline]
     pub fn encode(&self, data: u64) -> CodeWord {
-        let mut word: u128 = 0;
-        // Scatter data bits into non-power-of-two positions 1..=71.
-        let mut data_idx = 0;
-        for pos in 1..=71u32 {
-            if is_check_position(pos) {
-                continue;
-            }
-            if (data >> data_idx) & 1 == 1 {
-                word |= 1u128 << (pos - 1);
-            }
-            data_idx += 1;
-        }
-        debug_assert_eq!(data_idx, DATA_BITS);
-        // Hamming check bits: parity over positions with that bit set.
-        for check in 0..7u32 {
-            let mask = 1u32 << check;
-            let mut parity = false;
-            for pos in 1..=71u32 {
-                if pos & mask != 0 && !is_check_position(pos) && (word >> (pos - 1)) & 1 == 1 {
-                    parity = !parity;
-                }
-            }
-            if parity {
-                word |= 1u128 << ((1u32 << check) - 1);
-            }
+        let mut word = scatter(data);
+        // Hamming check bits: parity over the data positions under each
+        // syndrome mask (the check positions are still 0).
+        for (k, &mask) in SYNDROME_MASKS.iter().enumerate() {
+            word |= u128::from(parity(word, mask)) << ((1u32 << k) - 1);
         }
         // Overall parity over positions 1..=71 (code bits 0..=70).
-        let ones = (word & ((1u128 << 71) - 1)).count_ones();
-        if ones % 2 == 1 {
-            word |= 1u128 << 71;
-        }
+        word |= u128::from(parity(word, HAMMING_BITS)) << 71;
         CodeWord(word)
     }
 
     /// Decodes a code word, correcting a single-bit error and detecting
     /// double-bit errors.
+    #[inline]
     pub fn decode(&self, word: CodeWord) -> DecodeOutcome {
         let bits = word.0;
-        // Recompute the Hamming syndrome over positions 1..=71.
+        // The Hamming syndrome over positions 1..=71: the XOR of the
+        // positions of every set bit, one parity per syndrome bit.
         let mut syndrome: u32 = 0;
-        for pos in 1..=71u32 {
-            if (bits >> (pos - 1)) & 1 == 1 {
-                syndrome ^= pos;
-            }
+        for (k, &mask) in SYNDROME_MASKS.iter().enumerate() {
+            syndrome |= parity(bits, mask) << k;
         }
-        let overall = (bits & ((1u128 << 72) - 1)).count_ones() % 2 == 1;
+        let overall = parity(bits, CODE_MASK) == 1;
 
         let (corrected_bits, corrected_bit) = if syndrome == 0 && !overall {
             (bits, None)
@@ -214,18 +257,7 @@ impl Secded72 {
             return DecodeOutcome::Uncorrectable;
         };
 
-        // Gather data bits back out of positions 1..=71.
-        let mut data: u64 = 0;
-        let mut data_idx = 0;
-        for pos in 1..=71u32 {
-            if is_check_position(pos) {
-                continue;
-            }
-            if (corrected_bits >> (pos - 1)) & 1 == 1 {
-                data |= 1u64 << data_idx;
-            }
-            data_idx += 1;
-        }
+        let data = gather(corrected_bits);
         match corrected_bit {
             None => DecodeOutcome::Clean { data },
             Some(code_bit) => DecodeOutcome::Corrected { data, code_bit },
@@ -237,6 +269,145 @@ impl Secded72 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The code's definition, position by position: the reference the
+    /// mask codec must match bit for bit.
+    mod per_bit {
+        use super::super::{CodeWord, DecodeOutcome, DATA_BITS};
+
+        fn is_check_position(pos: u32) -> bool {
+            pos.is_power_of_two()
+        }
+
+        pub fn encode(data: u64) -> CodeWord {
+            let mut word: u128 = 0;
+            // Scatter data bits into non-power-of-two positions 1..=71.
+            let mut data_idx = 0;
+            for pos in 1..=71u32 {
+                if is_check_position(pos) {
+                    continue;
+                }
+                if (data >> data_idx) & 1 == 1 {
+                    word |= 1u128 << (pos - 1);
+                }
+                data_idx += 1;
+            }
+            assert_eq!(data_idx, DATA_BITS);
+            // Hamming check bits: parity over positions with that bit set.
+            for check in 0..7u32 {
+                let mask = 1u32 << check;
+                let mut parity = false;
+                for pos in 1..=71u32 {
+                    if pos & mask != 0 && !is_check_position(pos) && (word >> (pos - 1)) & 1 == 1 {
+                        parity = !parity;
+                    }
+                }
+                if parity {
+                    word |= 1u128 << ((1u32 << check) - 1);
+                }
+            }
+            // Overall parity over positions 1..=71 (code bits 0..=70).
+            let ones = (word & ((1u128 << 71) - 1)).count_ones();
+            if ones % 2 == 1 {
+                word |= 1u128 << 71;
+            }
+            CodeWord(word)
+        }
+
+        pub fn decode(word: CodeWord) -> DecodeOutcome {
+            let bits = word.0;
+            let mut syndrome: u32 = 0;
+            for pos in 1..=71u32 {
+                if (bits >> (pos - 1)) & 1 == 1 {
+                    syndrome ^= pos;
+                }
+            }
+            let overall = (bits & ((1u128 << 72) - 1)).count_ones() % 2 == 1;
+
+            let (corrected_bits, corrected_bit) = if syndrome == 0 && !overall {
+                (bits, None)
+            } else if overall {
+                let code_bit = if syndrome == 0 { 71 } else { syndrome - 1 };
+                if syndrome > 71 {
+                    return DecodeOutcome::Uncorrectable;
+                }
+                (bits ^ (1u128 << code_bit), Some(code_bit))
+            } else {
+                return DecodeOutcome::Uncorrectable;
+            };
+
+            let mut data: u64 = 0;
+            let mut data_idx = 0;
+            for pos in 1..=71u32 {
+                if is_check_position(pos) {
+                    continue;
+                }
+                if (corrected_bits >> (pos - 1)) & 1 == 1 {
+                    data |= 1u64 << data_idx;
+                }
+                data_idx += 1;
+            }
+            match corrected_bit {
+                None => DecodeOutcome::Clean { data },
+                Some(code_bit) => DecodeOutcome::Corrected { data, code_bit },
+            }
+        }
+    }
+
+    #[test]
+    fn mask_codec_matches_the_per_bit_oracle() {
+        let codec = Secded72::new();
+        let mut rng = StdRng::seed_from_u64(0x5ECDED);
+        let mut words = vec![0, u64::MAX, 0x5555_5555_5555_5555, 1 << 63];
+        words.extend((0..64).map(|_| rng.gen::<u64>()));
+        let same = |w: CodeWord| {
+            let out = codec.decode(w);
+            assert_eq!(out, per_bit::decode(w), "decode {:#x}", w.bits());
+            out
+        };
+        // Triple flips have odd parity: the oracle either miscorrects them
+        // or finds the syndrome past position 71.
+        let (mut miscorrected, mut beyond_the_word) = (0, 0);
+        for data in words {
+            let word = codec.encode(data);
+            assert_eq!(
+                word.bits(),
+                per_bit::encode(data).bits(),
+                "encode {data:#x}"
+            );
+            same(word);
+            for a in 0..CODE_BITS {
+                let single = word.with_bit_flipped(a);
+                same(single);
+                for b in (a + 1)..CODE_BITS {
+                    same(single.with_bit_flipped(b));
+                }
+            }
+            for _ in 0..256 {
+                let a = rng.gen_range(0..CODE_BITS);
+                let b = (a + rng.gen_range(1..CODE_BITS)) % CODE_BITS;
+                let c = (0..CODE_BITS)
+                    .cycle()
+                    .skip(rng.gen_range(0..CODE_BITS) as usize)
+                    .find(|&c| c != a && c != b)
+                    .unwrap();
+                match same(
+                    word.with_bit_flipped(a)
+                        .with_bit_flipped(b)
+                        .with_bit_flipped(c),
+                ) {
+                    DecodeOutcome::Uncorrectable => beyond_the_word += 1,
+                    DecodeOutcome::Corrected { .. } => miscorrected += 1,
+                    DecodeOutcome::Clean { .. } => panic!("a triple flip decoded clean"),
+                }
+                let garbage = (u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>());
+                same(CodeWord::from_bits(garbage & CODE_MASK));
+            }
+        }
+        assert!(miscorrected > 0 && beyond_the_word > 0);
+    }
 
     #[test]
     fn roundtrip_simple_values() {

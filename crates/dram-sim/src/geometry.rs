@@ -46,6 +46,7 @@ impl RankId {
     /// # Panics
     ///
     /// Panics if `rank >= 8`.
+    #[inline]
     pub fn new(rank: u8) -> Self {
         assert!((rank as usize) < RANK_COUNT, "rank must be < {RANK_COUNT}");
         RankId(rank)
@@ -89,6 +90,7 @@ impl BankId {
     /// # Panics
     ///
     /// Panics if `bank >= 8`.
+    #[inline]
     pub fn new(bank: u8) -> Self {
         assert!(
             (bank as usize) < BANKS_PER_CHIP,
@@ -143,6 +145,7 @@ impl WordAddr {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of range.
+    #[inline]
     pub fn new(rank: RankId, bank: BankId, row: u32, col: u16) -> Self {
         assert!(
             (row as usize) < ROWS_PER_BANK,
@@ -162,6 +165,7 @@ impl WordAddr {
 
     /// Flattens to a linear word index `0..WORD_COUNT`
     /// (rank-major, then bank, row, col).
+    #[inline]
     pub fn flatten(self) -> u64 {
         let r = self.rank.index() as u64;
         let b = self.bank.index() as u64;
@@ -192,6 +196,7 @@ impl WordAddr {
     }
 
     /// The row this word belongs to.
+    #[inline]
     pub fn row_addr(self) -> RowAddr {
         RowAddr {
             rank: self.rank,
@@ -237,6 +242,7 @@ impl RowAddr {
     }
 
     /// Flat row index across the whole array.
+    #[inline]
     pub fn flatten(self) -> u64 {
         (self.rank.index() as u64 * BANKS_PER_CHIP as u64 + self.bank.index() as u64)
             * ROWS_PER_BANK as u64

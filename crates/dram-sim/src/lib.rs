@@ -68,3 +68,29 @@ pub use retention::{
 };
 pub use scrubber::{PatrolScrubber, ScrubberConfig, ScrubberStats};
 pub use timing::{AccessKind, DdrTimings, McuStats, McuTimingModel};
+
+/// One named field of an encoded struct, for the hand-written encoders.
+fn entry(name: &str, value: &impl serde::Serialize) -> (String, serde::Value) {
+    (name.to_owned(), value.to_value())
+}
+
+/// The fields of an encoded struct, for the hand-written decoders.
+struct Fields<'a> {
+    ty: &'static str,
+    map: &'a [(String, serde::Value)],
+}
+
+impl<'a> Fields<'a> {
+    fn of(ty: &'static str, value: &'a serde::Value) -> Result<Self, serde::Error> {
+        Ok(Fields {
+            ty,
+            map: value.as_map()?,
+        })
+    }
+
+    fn get<T: serde::Deserialize>(&self, name: &str) -> Result<T, serde::Error> {
+        let value = serde::map_get(self.map, name)
+            .ok_or_else(|| serde::Error::missing_field(self.ty, name))?;
+        T::from_value(value)
+    }
+}

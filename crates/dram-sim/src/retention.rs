@@ -21,14 +21,14 @@
 
 use crate::geometry::{
     BankId, CellAddr, RankId, WordAddr, BANKS_PER_CHIP, CODE_BITS_PER_WORD, COLS_PER_ROW,
-    ROWS_PER_BANK,
+    RANK_COUNT, ROWS_PER_BANK,
 };
 use crate::math;
+use crate::{entry, Fields};
 use power_model::units::{Celsius, Milliseconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Which stored value leaks: a *true cell* loses a stored `1`, an
 /// *anti cell* loses a stored `0` (charge encodes the opposite level).
@@ -265,15 +265,114 @@ impl PopulationSpec {
 /// let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 42);
 /// assert!(pop.len() > 10_000); // tens of thousands of weak cells
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// It encodes as its model and cell list; decoding rebuilds the row index.
+#[derive(Debug, Clone)]
 pub struct WeakCellPopulation {
     model: RetentionModel,
     cells: Vec<WeakCell>,
-    /// Flat row address → indices into `cells`.
-    row_index: HashMap<u64, Vec<u32>>,
-    /// Dense bitmap over all flat rows: bit set ⇔ the row hosts a weak
-    /// cell. One lookup on the access hot path instead of a hash probe.
-    row_bitmap: Vec<u64>,
+    index: RowIndex,
+}
+
+/// Row-major index of the weak rows. A row is keyed by `(row, lane)`: its
+/// row within the bank, then its lane `rank · 8 + bank`. A memory
+/// controller stripes consecutive words across ranks and banks, so an
+/// access stream cycles through the 64 rows that share one row index. Keyed
+/// this way their occupancy is one bitmap word; in flat row order it would
+/// be 64 words spread 8 KB apart.
+#[derive(Debug, Clone)]
+struct RowIndex {
+    /// Per row index: bit `lane` set ⇔ that row hosts a weak cell.
+    lanes: Vec<u64>,
+    /// Per row index: the weak rows before it in key order, so a weak
+    /// row's ordinal is `before[row]` plus the set lanes below its own.
+    before: Vec<u32>,
+    /// Flat address of each weak row, by ordinal (key order).
+    rows: Vec<u64>,
+    /// `cells[offsets[o]..offsets[o + 1]]` belongs to weak row `o`.
+    offsets: Vec<u32>,
+    /// Indices into the population's cells, grouped by weak row and
+    /// ascending by column within a row (generation order within a word).
+    cells: Vec<u32>,
+}
+
+/// Lanes per row index: ranks × banks.
+const LANES: u64 = (RANK_COUNT * BANKS_PER_CHIP) as u64;
+
+/// `(row, lane)` of a flat row address, or `None` past the last rank.
+#[inline]
+fn row_key(flat_row: u64) -> Option<(usize, u32)> {
+    let lane = flat_row / ROWS_PER_BANK as u64;
+    (lane < LANES).then(|| ((flat_row % ROWS_PER_BANK as u64) as usize, lane as u32))
+}
+
+impl RowIndex {
+    fn build(cells: &[WeakCell]) -> Self {
+        let mut lanes = vec![0u64; ROWS_PER_BANK];
+        let keys: Vec<(usize, u32)> = cells
+            .iter()
+            .map(|cell| {
+                let key = row_key(cell.addr.word.row_addr().flatten())
+                    .expect("a cell address names a valid rank and bank");
+                lanes[key.0] |= 1 << key.1;
+                key
+            })
+            .collect();
+        let mut before = Vec::with_capacity(ROWS_PER_BANK);
+        let mut rows = Vec::new();
+        for (row, &word) in lanes.iter().enumerate() {
+            before.push(rows.len() as u32);
+            let mut rest = word;
+            while rest != 0 {
+                let lane = u64::from(rest.trailing_zeros());
+                rows.push(lane * ROWS_PER_BANK as u64 + row as u64);
+                rest &= rest - 1;
+            }
+        }
+        let mut index = RowIndex {
+            lanes,
+            before,
+            rows,
+            offsets: Vec::new(),
+            cells: Vec::new(),
+        };
+        // Counting sort of the cells by ordinal keeps generation order
+        // within each row; a stable sort by column then orders each row.
+        let ordinals: Vec<usize> = keys
+            .iter()
+            .map(|&(row, lane)| index.ordinal_of(row, lane).expect("indexed above"))
+            .collect();
+        let mut offsets = vec![0u32; index.rows.len() + 1];
+        for &o in &ordinals {
+            offsets[o + 1] += 1;
+        }
+        for o in 0..index.rows.len() {
+            offsets[o + 1] += offsets[o];
+        }
+        let mut next: Vec<u32> = offsets[..index.rows.len()].to_vec();
+        let mut grouped = vec![0u32; cells.len()];
+        for (i, &o) in ordinals.iter().enumerate() {
+            grouped[next[o] as usize] = i as u32;
+            next[o] += 1;
+        }
+        for pair in offsets.windows(2) {
+            let row = &mut grouped[pair[0] as usize..pair[1] as usize];
+            if row.len() > 1 {
+                row.sort_by_key(|&i| cells[i as usize].addr.word.col);
+            }
+        }
+        index.offsets = offsets;
+        index.cells = grouped;
+        index
+    }
+
+    #[inline]
+    fn ordinal_of(&self, row: usize, lane: u32) -> Option<usize> {
+        let word = self.lanes[row];
+        let bit = 1u64 << lane;
+        (word & bit != 0)
+            .then(|| self.before[row] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
 }
 
 impl WeakCellPopulation {
@@ -334,26 +433,15 @@ impl WeakCellPopulation {
         WeakCellPopulation::from_cells(model.clone(), cells)
     }
 
-    /// Builds a population (row index and bitmap included) around an
-    /// explicit cell list — the constructor the aging model uses to
-    /// assemble a board's population as it exists after years of
-    /// deployment.
+    /// Builds a population (row index included) around an explicit cell
+    /// list — the constructor the aging model uses to assemble a board's
+    /// population as it exists after years of deployment.
     pub fn from_cells(model: RetentionModel, cells: Vec<WeakCell>) -> Self {
-        let mut row_index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let total_rows = crate::geometry::RANK_COUNT
-            * crate::geometry::BANKS_PER_CHIP
-            * crate::geometry::ROWS_PER_BANK;
-        let mut row_bitmap = vec![0u64; total_rows.div_ceil(64)];
-        for (i, cell) in cells.iter().enumerate() {
-            let flat = cell.addr.word.row_addr().flatten();
-            row_index.entry(flat).or_default().push(i as u32);
-            row_bitmap[(flat / 64) as usize] |= 1u64 << (flat % 64);
-        }
+        let index = RowIndex::build(&cells);
         WeakCellPopulation {
             model,
             cells,
-            row_index,
-            row_bitmap,
+            index,
         }
     }
 
@@ -377,30 +465,48 @@ impl WeakCellPopulation {
         &self.cells
     }
 
-    /// Weak cells located in the given row, as indices into [`Self::cells`].
+    /// Weak cells located in the given row, as indices into [`Self::cells`],
+    /// ascending by column.
     pub fn cells_in_row(&self, flat_row: u64) -> &[u32] {
-        if !self.row_has_cells(flat_row) {
-            return &[];
-        }
-        self.row_index
-            .get(&flat_row)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.row_ordinal(flat_row)
+            .map_or(&[], |ordinal| self.cells_of(ordinal))
     }
 
     /// Whether the row hosts any weak cell — a single bitmap probe, the
     /// fast path for externally backed kernel accesses.
     #[inline]
     pub fn row_has_cells(&self, flat_row: u64) -> bool {
-        self.row_bitmap
-            .get((flat_row / 64) as usize)
-            .map(|w| (w >> (flat_row % 64)) & 1 == 1)
-            .unwrap_or(false)
+        row_key(flat_row).is_some_and(|(row, lane)| (self.index.lanes[row] >> lane) & 1 == 1)
     }
 
-    /// Iterator over the flat row addresses that contain weak cells.
+    /// Iterator over the flat row addresses that contain weak cells, in
+    /// row-major key order (row index, then rank and bank).
     pub fn rows_with_cells(&self) -> impl Iterator<Item = u64> + '_ {
-        self.row_index.keys().copied()
+        self.index.rows.iter().copied()
+    }
+
+    /// Number of rows that host weak cells.
+    pub(crate) fn weak_row_count(&self) -> usize {
+        self.index.rows.len()
+    }
+
+    /// The ordinal of a weak row in [`Self::rows_with_cells`] order, or
+    /// `None` for a row without weak cells.
+    #[inline]
+    pub(crate) fn row_ordinal(&self, flat_row: u64) -> Option<usize> {
+        let (row, lane) = row_key(flat_row)?;
+        self.index.ordinal_of(row, lane)
+    }
+
+    /// Flat address of the weak row with `ordinal`.
+    pub(crate) fn weak_row(&self, ordinal: usize) -> u64 {
+        self.index.rows[ordinal]
+    }
+
+    /// Cells of the weak row with `ordinal` (see [`Self::cells_in_row`]).
+    pub(crate) fn cells_of(&self, ordinal: usize) -> &[u32] {
+        let (start, end) = (self.index.offsets[ordinal], self.index.offsets[ordinal + 1]);
+        &self.index.cells[start as usize..end as usize]
     }
 
     /// Cells that would decay within `trefp` at `temp` under `context` —
@@ -448,6 +554,38 @@ impl WeakCellPopulation {
             counts[cell.addr.word.bank.index()] += 1;
         }
         counts
+    }
+}
+
+impl Serialize for WeakCellPopulation {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            entry("model", &self.model),
+            entry("cells", &self.cells),
+        ])
+    }
+}
+
+/// Rebuilds the row index from the cells. Checkpoints taken before the
+/// index was row-major also carry `row_index` and `row_bitmap` fields in
+/// the old flat layout; they are never read.
+impl Deserialize for WeakCellPopulation {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let fields = Fields::of("WeakCellPopulation", v)?;
+        let model: RetentionModel = fields.get("model")?;
+        let cells: Vec<WeakCell> = fields.get("cells")?;
+        if let Some(cell) = cells.iter().find(|c| {
+            let w = c.addr.word;
+            w.rank.index() >= RANK_COUNT
+                || w.bank.index() >= BANKS_PER_CHIP
+                || w.row as usize >= ROWS_PER_BANK
+        }) {
+            return Err(Error::custom(format!(
+                "weak cell outside the array: {:?}",
+                cell.addr
+            )));
+        }
+        Ok(WeakCellPopulation::from_cells(model, cells))
     }
 }
 
@@ -643,16 +781,62 @@ mod tests {
     fn row_index_is_consistent() {
         let model = RetentionModel::xgene2_micron();
         let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 11);
-        let indexed: usize = pop
-            .rows_with_cells()
-            .map(|r| pop.cells_in_row(r).len())
-            .sum();
-        assert_eq!(indexed, pop.len());
-        for row in pop.rows_with_cells().take(50) {
-            for &i in pop.cells_in_row(row) {
+        let key = |flat: u64| (flat % ROWS_PER_BANK as u64, flat / ROWS_PER_BANK as u64);
+        let rows: Vec<u64> = pop.rows_with_cells().collect();
+        assert!(
+            rows.windows(2).all(|w| key(w[0]) < key(w[1])),
+            "rows ascend strictly in (row, rank, bank) order"
+        );
+        let mut seen = vec![0u32; pop.len()];
+        for &row in &rows {
+            assert!(pop.row_has_cells(row));
+            let cells = pop.cells_in_row(row);
+            assert!(!cells.is_empty());
+            for &i in cells {
+                seen[i as usize] += 1;
                 assert_eq!(pop.cells()[i as usize].addr.word.row_addr().flatten(), row);
             }
+            let cols: Vec<u16> = cells
+                .iter()
+                .map(|&i| pop.cells()[i as usize].addr.word.col)
+                .collect();
+            assert!(cols.windows(2).all(|w| w[0] <= w[1]), "row {row}: {cols:?}");
         }
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "every cell under exactly one row"
+        );
+
+        // Past the last rank, a row's lane would wrap onto a real lane if
+        // it were only shifted: rank 0, bank 0 is where it would land.
+        let clean = (0..).find(|r| !rows.contains(r)).unwrap();
+        let past_the_array = (RANK_COUNT * BANKS_PER_CHIP * ROWS_PER_BANK) as u64;
+        let first_lane = *rows
+            .iter()
+            .find(|&&r| r < ROWS_PER_BANK as u64)
+            .expect("rank 0, bank 0 hosts weak rows");
+        for row in [
+            clean,
+            past_the_array,
+            first_lane + past_the_array,
+            first_lane + 2 * past_the_array,
+            u64::MAX,
+        ] {
+            assert!(!pop.row_has_cells(row), "row {row}");
+            assert_eq!(pop.cells_in_row(row), &[] as &[u32], "row {row}");
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_cells_outside_the_array() {
+        let model = RetentionModel::xgene2_micron();
+        let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 3);
+        let text = serde::json::to_string(&pop);
+        let back: WeakCellPopulation = serde::json::from_str(&text).unwrap();
+        assert_eq!(back.cells(), pop.cells());
+        let past_the_last_rank = text.replacen("\"rank\":[", "\"rank\":[9", 1);
+        let err = serde::json::from_str::<WeakCellPopulation>(&past_the_last_rank).unwrap_err();
+        assert!(err.to_string().contains("outside the array"), "{err}");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 /// # Panics
 ///
 /// Panics if the index exceeds the array capacity.
+#[inline]
 pub fn interleave(linear: u64) -> WordAddr {
     let rank = RankId::new((linear % 8) as u8);
     let rest = linear / 8;
@@ -127,6 +128,7 @@ impl<'a> DramArena<'a> {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[inline]
     pub fn write(&mut self, index: usize, value: u64) {
         self.data[index] = value;
         self.dram
@@ -141,6 +143,7 @@ impl<'a> DramArena<'a> {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[inline]
     pub fn read(&mut self, index: usize) -> u64 {
         let stored = self.data[index];
         let out = self

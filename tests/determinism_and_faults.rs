@@ -123,3 +123,67 @@ fn nominal_refresh_is_bulletproof_to_60c() {
         }
     }
 }
+
+/// Set in the environment of a re-invoked test binary, which then runs
+/// [`dram_encoding_in_a_child_process`] for real.
+const ENCODING_CHILD_ENV: &str = "GUARDBAND_DRAM_ENCODING_CHILD";
+/// Line prefix under which the child prints its fingerprint.
+const ENCODING_MARKER: &str = "dram encoding fnv1a: ";
+
+/// A booted board's encoding, fresh and after a relaxed-refresh scrub.
+fn encoded_board() -> (String, String) {
+    let mut server = XGene2Server::new(SigmaBin::Ttt, 1);
+    let fresh = serde::json::to_string(&server);
+    let dram = server.dram_mut();
+    dram.set_trefp(Milliseconds::DSN18_RELAXED_TREFP);
+    dram.set_temperature(Celsius::new(60.0));
+    dram.fill_pattern(DataPattern::Random { seed: 1 });
+    dram.advance(Milliseconds::DSN18_RELAXED_TREFP.as_f64() * 2.0);
+    assert!(dram.scrub().ce_events > 0);
+    (fresh, serde::json::to_string(&server))
+}
+
+fn encoding_fingerprint((fresh, scrubbed): &(String, String)) -> u64 {
+    rand::fnv1a(
+        rand::fnv1a(rand::FNV_OFFSET, fresh.as_bytes()),
+        scrubbed.as_bytes(),
+    )
+}
+
+/// Equal DRAM state encodes to equal bytes: two boards booted from one
+/// seed, fresh and after a scrub, and the same boards in another process.
+#[test]
+fn dram_state_encodes_identically_in_every_instance_and_process() {
+    let first = encoded_board();
+    let second = encoded_board();
+    assert!(first.0 == second.0, "fresh boards encode differently");
+    assert!(first.1 == second.1, "scrubbed boards encode differently");
+
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "dram_encoding_in_a_child_process",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(ENCODING_CHILD_ENV, "1")
+        .output()
+        .expect("the test binary re-runs");
+    assert!(child.status.success(), "child failed: {child:?}");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    let printed = stdout
+        .lines()
+        .find_map(|line| line.split(ENCODING_MARKER).nth(1))
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no fingerprint in the child's output:\n{stdout}"));
+    assert_eq!(printed, format!("{:016x}", encoding_fingerprint(&first)));
+}
+
+/// The child half of the test above; a no-op unless re-invoked by it.
+#[test]
+fn dram_encoding_in_a_child_process() {
+    if std::env::var_os(ENCODING_CHILD_ENV).is_some() {
+        let fingerprint = encoding_fingerprint(&encoded_board());
+        println!("{ENCODING_MARKER}{fingerprint:016x}");
+    }
+}
