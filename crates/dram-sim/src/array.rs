@@ -238,7 +238,9 @@ pub struct DramArray {
     words: HashMap<u64, WordState>,
     /// Refresh state of each weak row, by its ordinal in the population's
     /// row index; `None` until the row's first access after a fill. Rows
-    /// without weak cells keep no state: no read of them can change.
+    /// without weak cells keep no state: no read of them can change. Empty
+    /// until a row first keeps state, so a board that is booted and never
+    /// reads its DRAM holds none.
     rows: Vec<Option<RowState>>,
     log: ErrorLog,
     counters: AccessCounters,
@@ -272,7 +274,6 @@ impl DramArray {
     /// period and temperature. The array starts zero-filled.
     pub fn new(population: WeakCellPopulation, trefp: Milliseconds, temperature: Celsius) -> Self {
         DramArray {
-            rows: vec![None; population.weak_row_count()],
             population,
             codec: Secded72::new(),
             trefp,
@@ -283,6 +284,7 @@ impl DramArray {
                 time_ms: 0.0,
             }),
             words: HashMap::new(),
+            rows: Vec::new(),
             log: ErrorLog::new(),
             counters: AccessCounters::default(),
         }
@@ -426,7 +428,7 @@ impl DramArray {
             ue_events: 0,
             flipped_bits: 0,
         };
-        for ordinal in 0..self.rows.len() {
+        for ordinal in 0..self.population.weak_row_count() {
             let row = row_from_flat(self.population.weak_row(ordinal));
             // Distinct words within the row that hold weak cells; the
             // row's cells ascend by column.
@@ -477,15 +479,37 @@ impl DramArray {
     /// Reads the array's own data at `addr`, in the weak row `ordinal`.
     fn read_stored(&self, ordinal: usize, addr: WordAddr) -> ReadOutcome {
         let (data, written_at, context) = self.stored_word(addr);
-        let row_state = self.rows[ordinal].unwrap_or(RowState::recharged(written_at));
+        let row_state = self
+            .saved_row_state(ordinal)
+            .unwrap_or(RowState::recharged(written_at));
         self.evaluate_word(ordinal, addr, data, row_state, context)
     }
 
     /// The refresh state of weak row `ordinal`: as last accessed, or as
     /// the last fill left it.
     fn row_state(&self, ordinal: usize) -> RowState {
-        self.rows[ordinal]
+        self.saved_row_state(ordinal)
             .unwrap_or_else(|| RowState::recharged(self.fill.map_or(0.0, |f| f.time_ms)))
+    }
+
+    /// The state weak row `ordinal` kept since the last fill, if any.
+    fn saved_row_state(&self, ordinal: usize) -> Option<RowState> {
+        self.rows.get(ordinal).copied().flatten()
+    }
+
+    /// Keeps `state` for weak row `ordinal`.
+    #[inline]
+    fn save_row_state(&mut self, ordinal: usize, state: RowState) {
+        if self.rows.is_empty() {
+            self.make_room_for_rows();
+        }
+        self.rows[ordinal] = Some(state);
+    }
+
+    /// Makes room for the state of every weak row.
+    #[cold]
+    fn make_room_for_rows(&mut self) {
+        self.rows = vec![None; self.population.weak_row_count()];
     }
 
     /// Core decay + ECC evaluation for one word of weak row `ordinal` with
@@ -539,7 +563,7 @@ impl DramArray {
     #[inline]
     fn recharge_row(&mut self, addr: WordAddr) {
         if let Some(ordinal) = self.population.row_ordinal(addr.row_addr().flatten()) {
-            self.rows[ordinal] = Some(RowState::recharged(self.now_ms));
+            self.save_row_state(ordinal, RowState::recharged(self.now_ms));
         }
     }
 
@@ -549,11 +573,14 @@ impl DramArray {
         let state = self.row_state(ordinal);
         let flat_row = self.population.weak_row(ordinal);
         let segment = self.max_segment_gap(flat_row, state.last_event, self.now_ms);
-        self.rows[ordinal] = Some(RowState {
-            written_at: state.written_at,
-            last_event: self.now_ms,
-            max_gap: state.max_gap.max(segment),
-        });
+        self.save_row_state(
+            ordinal,
+            RowState {
+                written_at: state.written_at,
+                last_event: self.now_ms,
+                max_gap: state.max_gap.max(segment),
+            },
+        );
     }
 
     /// Longest charge-holding stretch within `[a, b]` for a row, given the
@@ -615,27 +642,26 @@ impl Serialize for DramArray {
 impl Deserialize for DramArray {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let fields = Fields::of("DramArray", v)?;
-        let population: WeakCellPopulation = fields.get("population")?;
-        let mut rows = vec![None; population.weak_row_count()];
-        let states: Vec<(u64, RowState)> = fields.get("rows")?;
-        for (flat, state) in states {
-            if let Some(ordinal) = population.row_ordinal(flat) {
-                rows[ordinal] = Some(state);
-            }
-        }
         let words: Vec<(u64, WordState)> = fields.get("words")?;
-        Ok(DramArray {
-            population,
+        let states: Vec<(u64, RowState)> = fields.get("rows")?;
+        let mut dram = DramArray {
+            population: fields.get("population")?,
             codec: fields.get("codec")?,
             trefp: fields.get("trefp")?,
             temperature: fields.get("temperature")?,
             now_ms: fields.get("now_ms")?,
             fill: fields.get("fill")?,
             words: words.into_iter().collect(),
-            rows,
+            rows: Vec::new(),
             log: fields.get("log")?,
             counters: fields.get("counters")?,
-        })
+        };
+        for (flat, state) in states {
+            if let Some(ordinal) = dram.population.row_ordinal(flat) {
+                dram.save_row_state(ordinal, state);
+            }
+        }
+        Ok(dram)
     }
 }
 
@@ -891,6 +917,30 @@ mod tests {
         assert!(out.flipped_bits.is_empty());
         assert_eq!(dram.counters().reads, 1);
         assert_eq!(dram.counters().writes, 1);
+        assert!(dram.rows.is_empty(), "clean rows keep no state");
+    }
+
+    #[test]
+    fn row_state_is_made_when_a_weak_row_first_keeps_some() {
+        let relaxed = Milliseconds::DSN18_RELAXED_TREFP;
+        let mut dram = test_array(60.0, relaxed);
+        assert!(dram.rows.is_empty(), "a booted array keeps no row state");
+        let text = serde::json::to_string(&dram);
+        let back: DramArray = serde::json::from_str(&text).unwrap();
+        assert!(back.rows.is_empty());
+        assert_eq!(serde::json::to_string(&back), text);
+
+        dram.fill_pattern(DataPattern::Random { seed: 1 });
+        dram.advance(relaxed.as_f64());
+        assert!(dram.rows.is_empty(), "a fill keeps none either");
+        let report = dram.scrub();
+        assert!(report.ce_events > 0);
+        let weak_rows = dram.population().rows_with_cells().count();
+        assert_eq!(dram.rows.len(), weak_rows);
+        assert!(
+            dram.rows.iter().all(Option::is_some),
+            "a scrub touches every weak row"
+        );
     }
 
     #[test]

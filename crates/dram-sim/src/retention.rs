@@ -29,6 +29,7 @@ use power_model::units::{Celsius, Milliseconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Error, Serialize, Value};
+use std::sync::{Arc, OnceLock};
 
 /// Which stored value leaks: a *true cell* loses a stored `1`, an
 /// *anti cell* loses a stored `0` (charge encodes the opposite level).
@@ -266,12 +267,26 @@ impl PopulationSpec {
 /// assert!(pop.len() > 10_000); // tens of thousands of weak cells
 /// ```
 ///
-/// It encodes as its model and cell list; decoding rebuilds the row index.
-#[derive(Debug, Clone)]
+/// It encodes as its model and cell list. The row index is built on the
+/// first row lookup, so a board that is booted and never reads its DRAM
+/// pays for its cell list only.
+#[derive(Debug)]
 pub struct WeakCellPopulation {
     model: RetentionModel,
     cells: Vec<WeakCell>,
-    index: RowIndex,
+    index: OnceLock<RowIndex>,
+}
+
+/// Cloning builds the row index first, so that every clone shares it: a
+/// population is cloned to back another array, and arrays look rows up.
+impl Clone for WeakCellPopulation {
+    fn clone(&self) -> Self {
+        WeakCellPopulation {
+            model: self.model.clone(),
+            cells: self.cells.clone(),
+            index: OnceLock::from(self.index().clone()),
+        }
+    }
 }
 
 /// Row-major index of the weak rows. A row is keyed by `(row, lane)`: its
@@ -279,21 +294,22 @@ pub struct WeakCellPopulation {
 /// controller stripes consecutive words across ranks and banks, so an
 /// access stream cycles through the 64 rows that share one row index. Keyed
 /// this way their occupancy is one bitmap word; in flat row order it would
-/// be 64 words spread 8 KB apart.
+/// be 64 words spread 8 KB apart. The index never changes once built, so
+/// clones share its arrays.
 #[derive(Debug, Clone)]
 struct RowIndex {
     /// Per row index: bit `lane` set ⇔ that row hosts a weak cell.
-    lanes: Vec<u64>,
+    lanes: Arc<[u64]>,
     /// Per row index: the weak rows before it in key order, so a weak
     /// row's ordinal is `before[row]` plus the set lanes below its own.
-    before: Vec<u32>,
+    before: Arc<[u32]>,
     /// Flat address of each weak row, by ordinal (key order).
-    rows: Vec<u64>,
+    rows: Arc<[u64]>,
     /// `cells[offsets[o]..offsets[o + 1]]` belongs to weak row `o`.
-    offsets: Vec<u32>,
+    offsets: Arc<[u32]>,
     /// Indices into the population's cells, grouped by weak row and
     /// ascending by column within a row (generation order within a word).
-    cells: Vec<u32>,
+    cells: Arc<[u32]>,
 }
 
 /// Lanes per row index: ranks × banks.
@@ -330,11 +346,11 @@ impl RowIndex {
             }
         }
         let mut index = RowIndex {
-            lanes,
-            before,
-            rows,
-            offsets: Vec::new(),
-            cells: Vec::new(),
+            lanes: lanes.into(),
+            before: before.into(),
+            rows: rows.into(),
+            offsets: Arc::default(),
+            cells: Arc::default(),
         };
         // Counting sort of the cells by ordinal keeps generation order
         // within each row; a stable sort by column then orders each row.
@@ -361,8 +377,8 @@ impl RowIndex {
                 row.sort_by_key(|&i| cells[i as usize].addr.word.col);
             }
         }
-        index.offsets = offsets;
-        index.cells = grouped;
+        index.offsets = offsets.into();
+        index.cells = grouped.into();
         index
     }
 
@@ -433,16 +449,21 @@ impl WeakCellPopulation {
         WeakCellPopulation::from_cells(model.clone(), cells)
     }
 
-    /// Builds a population (row index included) around an explicit cell
-    /// list — the constructor the aging model uses to assemble a board's
-    /// population as it exists after years of deployment.
+    /// Builds a population around an explicit cell list — the constructor
+    /// the aging model uses to assemble a board's population as it exists
+    /// after years of deployment.
     pub fn from_cells(model: RetentionModel, cells: Vec<WeakCell>) -> Self {
-        let index = RowIndex::build(&cells);
         WeakCellPopulation {
             model,
             cells,
-            index,
+            index: OnceLock::new(),
         }
+    }
+
+    /// The row index, built on the first call.
+    #[inline]
+    fn index(&self) -> &RowIndex {
+        self.index.get_or_init(|| RowIndex::build(&self.cells))
     }
 
     /// The model this population was generated from.
@@ -476,18 +497,18 @@ impl WeakCellPopulation {
     /// fast path for externally backed kernel accesses.
     #[inline]
     pub fn row_has_cells(&self, flat_row: u64) -> bool {
-        row_key(flat_row).is_some_and(|(row, lane)| (self.index.lanes[row] >> lane) & 1 == 1)
+        row_key(flat_row).is_some_and(|(row, lane)| (self.index().lanes[row] >> lane) & 1 == 1)
     }
 
     /// Iterator over the flat row addresses that contain weak cells, in
     /// row-major key order (row index, then rank and bank).
     pub fn rows_with_cells(&self) -> impl Iterator<Item = u64> + '_ {
-        self.index.rows.iter().copied()
+        self.index().rows.iter().copied()
     }
 
     /// Number of rows that host weak cells.
     pub(crate) fn weak_row_count(&self) -> usize {
-        self.index.rows.len()
+        self.index().rows.len()
     }
 
     /// The ordinal of a weak row in [`Self::rows_with_cells`] order, or
@@ -495,18 +516,19 @@ impl WeakCellPopulation {
     #[inline]
     pub(crate) fn row_ordinal(&self, flat_row: u64) -> Option<usize> {
         let (row, lane) = row_key(flat_row)?;
-        self.index.ordinal_of(row, lane)
+        self.index().ordinal_of(row, lane)
     }
 
     /// Flat address of the weak row with `ordinal`.
     pub(crate) fn weak_row(&self, ordinal: usize) -> u64 {
-        self.index.rows[ordinal]
+        self.index().rows[ordinal]
     }
 
     /// Cells of the weak row with `ordinal` (see [`Self::cells_in_row`]).
     pub(crate) fn cells_of(&self, ordinal: usize) -> &[u32] {
-        let (start, end) = (self.index.offsets[ordinal], self.index.offsets[ordinal + 1]);
-        &self.index.cells[start as usize..end as usize]
+        let index = self.index();
+        let (start, end) = (index.offsets[ordinal], index.offsets[ordinal + 1]);
+        &index.cells[start as usize..end as usize]
     }
 
     /// Cells that would decay within `trefp` at `temp` under `context` —
@@ -566,9 +588,10 @@ impl Serialize for WeakCellPopulation {
     }
 }
 
-/// Rebuilds the row index from the cells. Checkpoints taken before the
-/// index was row-major also carry `row_index` and `row_bitmap` fields in
-/// the old flat layout; they are never read.
+/// Decodes the model and cells; the row index is built again on first
+/// use. Checkpoints taken before the index was row-major also carry
+/// `row_index` and `row_bitmap` fields in the old flat layout; they are
+/// never read.
 impl Deserialize for WeakCellPopulation {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let fields = Fields::of("WeakCellPopulation", v)?;
@@ -837,6 +860,26 @@ mod tests {
         let past_the_last_rank = text.replacen("\"rank\":[", "\"rank\":[9", 1);
         let err = serde::json::from_str::<WeakCellPopulation>(&past_the_last_rank).unwrap_err();
         assert!(err.to_string().contains("outside the array"), "{err}");
+    }
+
+    #[test]
+    fn the_row_index_is_built_on_first_lookup_and_shared_by_clones() {
+        let model = RetentionModel::xgene2_micron();
+        let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 17);
+        assert!(pop.index.get().is_none(), "generation builds no index");
+        let _ = pop.min_retention_per_bank(Celsius::new(60.0), CouplingContext::WorstCase);
+        assert!(pop.index.get().is_none(), "cell queries build no index");
+
+        let copy = pop.clone();
+        let built = pop.index.get().expect("cloning builds the index");
+        let shared = copy.index.get().expect("the clone holds it");
+        assert!(Arc::ptr_eq(&built.lanes, &shared.lanes));
+        assert!(Arc::ptr_eq(&built.cells, &shared.cells));
+
+        let fresh = WeakCellPopulation::from_cells(model, pop.cells().to_vec());
+        let row = pop.rows_with_cells().next().unwrap();
+        assert_eq!(fresh.cells_in_row(row), pop.cells_in_row(row));
+        assert!(fresh.index.get().is_some(), "a lookup builds the index");
     }
 
     #[test]
