@@ -28,7 +28,9 @@
 //!
 //! Every transition persists the manifest (`campaigns.json`, written
 //! atomically) when the runner owns a data directory; each campaign's
-//! write-ahead journal lives in `campaign-<id>/` beside it.
+//! write-ahead journal lives in `campaign-<id>/` beside it. A runner
+//! without a data directory has no next boot to resume from, so each
+//! run gets a fresh in-memory journal that is dropped when the run ends.
 
 use crate::state::{ControlState, StatusSnapshot};
 use fleet::{
@@ -172,9 +174,6 @@ struct Inner {
     next_id: u64,
     records: BTreeMap<u64, CampaignRecord>,
     queue: VecDeque<u64>,
-    /// In-memory journals (no data dir): kept across interrupts so a
-    /// same-process resubmission could still resume. Keyed by id.
-    mem_journals: BTreeMap<u64, FleetJournal<MemStore>>,
 }
 
 /// The campaign runner: accepts submissions, executes them one at a
@@ -196,8 +195,9 @@ struct RunnerShared {
 }
 
 impl CampaignRunner {
-    /// Boots a runner with no persistence (journals in memory) — for
-    /// benches and examples that never restart.
+    /// Boots a runner with no persistence (each run's journal lives in
+    /// memory for that run) — for benches and examples that never
+    /// restart.
     pub fn in_memory(state: Arc<ControlState>) -> Arc<Self> {
         CampaignRunner::boot(state, None)
     }
@@ -380,21 +380,8 @@ impl RunnerShared {
                 run_fleet_durable(&fleet_spec, &campaign, &config, &mut journal, &disruption)
             }
             None => {
-                let mut journal = {
-                    let mut inner = self.inner.lock().expect("runner lock poisoned");
-                    inner
-                        .mem_journals
-                        .remove(&id)
-                        .unwrap_or_else(|| FleetJournal::new(MemStore::new()))
-                };
-                let result =
-                    run_fleet_durable(&fleet_spec, &campaign, &config, &mut journal, &disruption);
-                self.inner
-                    .lock()
-                    .expect("runner lock poisoned")
-                    .mem_journals
-                    .insert(id, journal);
-                result
+                let mut journal = FleetJournal::new(MemStore::new());
+                run_fleet_durable(&fleet_spec, &campaign, &config, &mut journal, &disruption)
             }
         };
 

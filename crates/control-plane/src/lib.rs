@@ -11,7 +11,8 @@
 //! * [`http`] — a minimal, limit-enforcing HTTP/1.1 message layer
 //!   (the workspace is offline; there is no hyper to lean on);
 //! * [`state`] — the Arc-swapped [`state::SafePointSnapshot`] serving
-//!   reads without ever taking the writer lock;
+//!   reads without ever taking the writer lock, with each epoch roll
+//!   folded into a copy of the served index;
 //! * [`campaigns`] — the campaign lifecycle (submit → run → publish)
 //!   on top of the fleet crate's journaled durable runner, so a killed
 //!   server resumes exactly where it died;
@@ -19,8 +20,9 @@
 //!   tests and the serving benchmark;
 //! * [`server`] — the bounded worker pool over `std::net::TcpListener`
 //!   with deadline I/O and graceful drain;
-//! * [`metrics`] — the lock-free `control_plane_*` metrics family,
-//!   merged with campaign metrics into one Prometheus exposition;
+//! * [`metrics`] — the `control_plane_*` metrics family, counted in one
+//!   `telemetry::Registry` behind a lock and merged with campaign
+//!   metrics into one Prometheus exposition;
 //! * [`loadgen`] — seeded open-loop diurnal traffic for the `loadgen`
 //!   binary and `BENCH_serving.json`.
 //!

@@ -1,17 +1,25 @@
 //! The `control_plane_*` metrics family: request counters by route and
 //! status class, an in-flight gauge and per-route latency histograms.
 //!
-//! The serving hot path cannot share the workspace's
-//! [`telemetry::Registry`] directly — that registry is `Rc`/`RefCell`
-//! single-threaded by design. This module keeps the hot path lock-free
-//! with plain atomics (relaxed ordering: counters tolerate torn reads
-//! across series, a scrape is always a consistent-enough snapshot) and
-//! renders into a fresh `Registry` only when `/metrics` is scraped, so
-//! the exposition format stays byte-compatible with everything else the
-//! workspace exports.
+//! Requests are counted in one [`telemetry::Registry`] behind a mutex:
+//! the registry is `Send`, so the lock makes it shareable by every
+//! worker thread, and `/metrics` renders it in the same exposition
+//! format as everything else the workspace exports. Series names are
+//! built once, so recording a request takes the lock once and allocates
+//! only when a route's histogram first appears. The in-flight gauge is
+//! an atomic, read when `/metrics` is scraped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use telemetry::metrics::{exponential_bounds, HistogramSnapshot, MetricsSnapshot, Registry};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use telemetry::metrics::{
+    exponential_bounds, series_name, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
+};
+
+/// Accepted connections.
+const CONNECTIONS: &str = "control_plane_connections_total";
+
+/// Requests that failed HTTP parsing.
+const PARSE_ERRORS: &str = "control_plane_parse_errors_total";
 
 /// The routes the server distinguishes in metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +40,7 @@ pub enum Route {
     Other,
 }
 
-/// Every route, in exposition order.
+/// Every route, in declaration order, so `route as usize` indexes it.
 pub const ROUTES: [Route; 7] = [
     Route::SafePoint,
     Route::CampaignSubmit,
@@ -56,18 +64,6 @@ impl Route {
             Route::Other => "other",
         }
     }
-
-    fn ordinal(self) -> usize {
-        match self {
-            Route::SafePoint => 0,
-            Route::CampaignSubmit => 1,
-            Route::CampaignStatus => 2,
-            Route::Status => 3,
-            Route::Dispatch => 4,
-            Route::Metrics => 5,
-            Route::Other => 6,
-        }
-    }
 }
 
 /// Status classes the request counter distinguishes.
@@ -89,42 +85,17 @@ pub fn latency_bounds() -> Vec<f64> {
     exponential_bounds(1e-6, 2.0, 22)
 }
 
-struct RouteLatency {
-    /// Per-bucket counts plus the `+Inf` overflow slot.
-    counts: Vec<AtomicU64>,
-    /// Sum of observations, nanoseconds (fixed-point keeps it atomic).
-    sum_nanos: AtomicU64,
-    count: AtomicU64,
-}
-
-impl RouteLatency {
-    fn new(buckets: usize) -> Self {
-        RouteLatency {
-            counts: (0..=buckets).map(|_| AtomicU64::new(0)).collect(),
-            sum_nanos: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
 /// The server's own metrics. One instance per server, shared by every
-/// worker thread; all methods are `&self` and lock-free.
+/// worker thread; all methods are `&self`.
+#[derive(Debug)]
 pub struct ServerMetrics {
+    registry: Mutex<Registry>,
     bounds: Vec<f64>,
-    requests: [[AtomicU64; 3]; 7],
-    latency: Vec<RouteLatency>,
+    /// `control_plane_requests_total` series, by route and status class.
+    requests: [[String; 3]; 7],
+    /// `control_plane_request_seconds` series, by route.
+    latency: [String; 7],
     in_flight: AtomicU64,
-    connections: AtomicU64,
-    parse_errors: AtomicU64,
-}
-
-impl std::fmt::Debug for ServerMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerMetrics")
-            .field("requests_total", &self.requests_total())
-            .field("in_flight", &self.in_flight.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl Default for ServerMetrics {
@@ -136,18 +107,31 @@ impl Default for ServerMetrics {
 impl ServerMetrics {
     /// Fresh metrics with the standard latency buckets.
     pub fn new() -> Self {
-        let bounds = latency_bounds();
+        let registry = Registry::new();
+        registry.counter_add(CONNECTIONS, 0);
+        registry.counter_add(PARSE_ERRORS, 0);
         ServerMetrics {
-            latency: ROUTES
-                .iter()
-                .map(|_| RouteLatency::new(bounds.len()))
-                .collect(),
-            bounds,
-            requests: Default::default(),
+            registry: Mutex::new(registry),
+            bounds: latency_bounds(),
+            requests: ROUTES.map(|route| {
+                CLASSES.map(|class| {
+                    series_name(
+                        "control_plane_requests_total",
+                        &[("route", route.label()), ("status", class)],
+                    )
+                })
+            }),
+            latency: ROUTES.map(|route| {
+                series_name("control_plane_request_seconds", &[("route", route.label())])
+            }),
             in_flight: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
         }
+    }
+
+    /// The registry. Every registry call leaves it whole, so a panic
+    /// that poisoned the lock left nothing half-updated.
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Marks a request in flight; the guard decrements on drop so every
@@ -160,35 +144,30 @@ impl ServerMetrics {
 
     /// Records one completed request.
     pub fn observe(&self, route: Route, status: u16, seconds: f64) {
-        self.requests[route.ordinal()][class_ordinal(status)].fetch_add(1, Ordering::Relaxed);
-        let lat = &self.latency[route.ordinal()];
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| seconds <= b)
-            .unwrap_or(self.bounds.len());
-        lat.counts[idx].fetch_add(1, Ordering::Relaxed);
-        lat.sum_nanos
-            .fetch_add((seconds.max(0.0) * 1e9) as u64, Ordering::Relaxed);
-        lat.count.fetch_add(1, Ordering::Relaxed);
+        let latency = &self.latency[route as usize];
+        let registry = self.registry();
+        registry.counter_add(&self.requests[route as usize][class_ordinal(status)], 1);
+        registry.register_histogram(latency, &self.bounds);
+        registry.observe(latency, seconds);
     }
 
     /// Counts one accepted connection.
     pub fn connection_opened(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+        self.registry().counter_add(CONNECTIONS, 1);
     }
 
     /// Counts one request that failed HTTP parsing.
     pub fn parse_error(&self) {
-        self.parse_errors.fetch_add(1, Ordering::Relaxed);
+        self.registry().counter_add(PARSE_ERRORS, 1);
     }
 
     /// Requests observed across every route and status class.
     pub fn requests_total(&self) -> u64 {
+        let registry = self.registry();
         self.requests
             .iter()
-            .flat_map(|per_class| per_class.iter())
-            .map(|c| c.load(Ordering::Relaxed))
+            .flatten()
+            .map(|series| registry.counter(series))
             .sum()
     }
 
@@ -200,62 +179,9 @@ impl ServerMetrics {
     /// One route's latency distribution as an inert snapshot (the
     /// quantile substrate for `BENCH_serving.json`).
     pub fn latency_snapshot(&self, route: Route) -> HistogramSnapshot {
-        let lat = &self.latency[route.ordinal()];
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: lat
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: lat.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            count: lat.count.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The `control_plane_*` family as an inert, name-sorted snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for route in ROUTES {
-            for (class_idx, class) in CLASSES.iter().enumerate() {
-                let count = self.requests[route.ordinal()][class_idx].load(Ordering::Relaxed);
-                if count > 0 {
-                    snap.counters.push((
-                        telemetry::metrics::series_name(
-                            "control_plane_requests_total",
-                            &[("route", route.label()), ("status", class)],
-                        ),
-                        count,
-                    ));
-                }
-            }
-            let latency = self.latency_snapshot(route);
-            if latency.count > 0 {
-                snap.histograms.push((
-                    telemetry::metrics::series_name(
-                        "control_plane_request_seconds",
-                        &[("route", route.label())],
-                    ),
-                    latency,
-                ));
-            }
-        }
-        snap.counters.push((
-            "control_plane_connections_total".to_owned(),
-            self.connections.load(Ordering::Relaxed),
-        ));
-        snap.counters.push((
-            "control_plane_parse_errors_total".to_owned(),
-            self.parse_errors.load(Ordering::Relaxed),
-        ));
-        snap.gauges.push((
-            "control_plane_in_flight".to_owned(),
-            self.in_flight.load(Ordering::Relaxed) as f64,
-        ));
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
+        self.registry()
+            .histogram(&self.latency[route as usize])
+            .unwrap_or_else(|| Histogram::new(&self.bounds).snapshot())
     }
 
     /// The full `/metrics` exposition: the campaign-derived base
@@ -264,14 +190,15 @@ impl ServerMetrics {
     /// from their snapshots, so scrape cost is independent of how many
     /// requests have been served.
     pub fn exposition(&self, base: &MetricsSnapshot) -> String {
-        let own = self.snapshot();
+        let own = self.registry().snapshot();
         let mut merged = base.clone();
         merged.counters.extend(own.counters);
         merged.gauges.extend(own.gauges);
+        merged.gauges.push((
+            "control_plane_in_flight".to_owned(),
+            self.in_flight() as f64,
+        ));
         merged.histograms.extend(own.histograms);
-        merged.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        merged.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        merged.histograms.sort_by(|a, b| a.0.cmp(&b.0));
         Registry::from_snapshot(&merged).prometheus()
     }
 }

@@ -4,15 +4,15 @@
 //! # Snapshot-swap concurrency model
 //!
 //! Lookups must never contend with campaign completions. The control
-//! plane therefore keeps the authoritative [`VersionedSafePointStore`]
-//! behind a writer-side mutex, and *serves* from an immutable
-//! [`SafePointSnapshot`] — the [`LatestIndex`] of one store version plus
-//! a monotonically increasing version number — held as an `Arc` behind
-//! an `RwLock`. A lookup takes the read lock just long enough to clone
+//! plane *serves* from an immutable [`SafePointSnapshot`] — a
+//! [`LatestIndex`] plus a monotonically increasing version number —
+//! held as an `Arc` behind an `RwLock`, and keeps no other copy of the
+//! safe points. A lookup takes the read lock just long enough to clone
 //! the `Arc` (no allocation, no contention with other readers) and then
-//! works entirely on immutable data; an epoch roll builds the next
-//! index *outside* any lock and swaps the `Arc` in one short write-lock
-//! critical section. Consequences:
+//! works entirely on immutable data. An epoch roll, under a writer-side
+//! roll lock, clones the served index (O(boards)), folds the new epoch
+//! into the clone and swaps the `Arc` in one short write-lock critical
+//! section. Consequences:
 //!
 //! * lookups never take the write lock and never observe a
 //!   half-built index;
@@ -21,13 +21,13 @@
 //!   `BENCH_serving.json` gates on;
 //! * a lookup that raced the swap serves the *previous* complete
 //!   version, which is exactly the consistency an epoch-versioned
-//!   database wants.
+//!   database wants;
+//! * a roll costs O(boards) however many epochs came before it.
 
-use guardband_core::epoch::{LatestIndex, VersionedSafePointStore};
+use guardband_core::epoch::LatestIndex;
 use guardband_core::safepoint::SafePointStore;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use telemetry::metrics::MetricsSnapshot;
 
 /// One immutable serving view of the safe-point database.
@@ -37,7 +37,7 @@ pub struct SafePointSnapshot {
     pub version: u64,
     /// Highest epoch in the snapshot, if any.
     pub latest_epoch: Option<u32>,
-    /// The read-optimized index of this store version.
+    /// The read-optimized index of every epoch rolled so far.
     pub index: LatestIndex,
 }
 
@@ -166,8 +166,10 @@ pub struct DispatchBoardStatus {
 /// The serving state shared by every worker thread.
 #[derive(Debug, Default)]
 pub struct ControlState {
-    /// Authoritative epoch-versioned database (writer side only).
-    master: Mutex<VersionedSafePointStore>,
+    /// Serializes rolls from reading the served snapshot through the
+    /// swap, so a roll never publishes an index that misses another's
+    /// epoch.
+    roll: Mutex<()>,
     /// The served snapshot, swapped whole on every publish.
     snapshot: RwLock<Arc<SafePointSnapshot>>,
     /// The served health summary.
@@ -176,8 +178,6 @@ pub struct ControlState {
     dispatch: RwLock<Arc<DispatchStatus>>,
     /// Campaign-derived metrics merged into `/metrics` output.
     base_metrics: RwLock<Arc<MetricsSnapshot>>,
-    /// Publish counter backing snapshot versions.
-    version: AtomicU64,
 }
 
 impl ControlState {
@@ -247,32 +247,26 @@ impl ControlState {
         *self.base_metrics.write().expect("metrics lock poisoned") = Arc::new(snapshot);
     }
 
-    /// Merges one epoch's store into the master database and publishes
-    /// the rebuilt snapshot. Returns the new snapshot version. The index
-    /// build happens outside every lock; only the final `Arc` swap takes
-    /// the write lock.
-    pub fn roll_epoch(&self, epoch: u32, store: &SafePointStore) -> u64 {
-        let mut master = self.master.lock().expect("master lock poisoned");
-        for record in store.records() {
-            master.insert(epoch, record.clone());
-        }
-        let index = master.latest_index();
-        let latest_epoch = master.latest_epoch();
-        drop(master);
-        self.swap(index, latest_epoch)
-    }
-
-    /// Replaces the whole master database (restart recovery) and
+    /// Folds one epoch's store into a copy of the served index and
     /// publishes it. Returns the new snapshot version.
-    pub fn publish_versioned(&self, versioned: VersionedSafePointStore) -> u64 {
-        let index = versioned.latest_index();
-        let latest_epoch = versioned.latest_epoch();
-        *self.master.lock().expect("master lock poisoned") = versioned;
-        self.swap(index, latest_epoch)
-    }
-
-    fn swap(&self, index: LatestIndex, latest_epoch: Option<u32>) -> u64 {
-        let version = self.version.fetch_add(1, Ordering::SeqCst) + 1;
+    ///
+    /// Each epoch must be rolled once; epochs may arrive in any order. A
+    /// board's served point moves only to a newer epoch, and an older
+    /// epoch still joins its margin trend — a campaign resumed after a
+    /// restart can complete after a later one was re-served at boot.
+    pub fn roll_epoch(&self, epoch: u32, store: &SafePointStore) -> u64 {
+        let _roll = self.roll.lock().unwrap_or_else(PoisonError::into_inner);
+        let served = self.snapshot();
+        let mut index = served.index.clone();
+        index.fold(epoch, store);
+        let latest_epoch = if store.is_empty() {
+            served.latest_epoch
+        } else {
+            served.latest_epoch.max(Some(epoch))
+        };
+        // Only rolls swap the snapshot, and they hold the roll lock, so
+        // the served version is the latest one issued.
+        let version = served.version + 1;
         let next = Arc::new(SafePointSnapshot {
             version,
             latest_epoch,
@@ -403,15 +397,97 @@ mod tests {
     }
 
     #[test]
-    fn publish_versioned_replaces_the_master_wholesale() {
+    fn an_older_epoch_joins_the_trend_but_not_the_served_point() {
         let state = ControlState::new();
-        state.roll_epoch(0, &one_board_store(1, 0, 905));
-        let mut versioned = VersionedSafePointStore::new();
-        versioned.insert(3, record(9, 3, 910));
-        state.publish_versioned(versioned);
+        state.roll_epoch(12, &one_board_store(7, 12, 925));
+        state.roll_epoch(0, &one_board_store(7, 0, 905));
         let snapshot = state.snapshot();
-        assert_eq!(snapshot.lookup(1), None, "old master is gone");
-        assert_eq!(snapshot.lookup(9).unwrap().epoch, 3);
-        assert_eq!(snapshot.latest_epoch, Some(3));
+        let view = snapshot.lookup(7).unwrap();
+        assert_eq!(view.epoch, 12);
+        assert_eq!(view.rail_vmin_mv, Some(925));
+        // margin(0) − margin(12) = 50 − 30.
+        assert_eq!(view.margin_decay_mv, Some(20));
+        assert_eq!(snapshot.latest_epoch, Some(12));
+    }
+
+    #[test]
+    fn concurrent_rolls_lose_no_epoch() {
+        // Epoch 0 serves a wide fleet, so each roll's clone-and-fold
+        // takes long enough for the two threads' rolls to overlap.
+        let state = ControlState::new();
+        let mut fleet = SafePointStore::new();
+        for board in 2..1000 {
+            fleet.insert(record(board, 0, 905));
+        }
+        state.roll_epoch(0, &fleet);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for board in 0..2u32 {
+                let (state, start) = (&state, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..100u32 {
+                        let epoch = 1 + 2 * k + board;
+                        state.roll_epoch(epoch, &one_board_store(board, epoch, 905));
+                    }
+                });
+            }
+        });
+        let snapshot = state.snapshot();
+        assert_eq!(snapshot.version, 201);
+        assert_eq!(snapshot.lookup(0).unwrap().epoch, 199);
+        assert_eq!(snapshot.lookup(1).unwrap().epoch, 200);
+        assert_eq!(snapshot.latest_epoch, Some(200));
+        for board in 0..2 {
+            assert_eq!(snapshot.index.entry(board).unwrap().trend.epochs(), 100);
+        }
+    }
+
+    mod folding {
+        use super::*;
+        use guardband_core::epoch::VersionedSafePointStore;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// Rolling distinct epochs one at a time, in any order,
+            /// serves exactly the index of the whole history.
+            #[test]
+            fn rolls_in_any_order_serve_the_index_of_the_whole_history(
+                epochs in proptest::collection::vec((0u32..40, any::<u64>()), 0..12),
+                records in proptest::collection::vec(
+                    (0u32..6, 0usize..12, any::<bool>()),
+                    0..40,
+                ),
+            ) {
+                let mut epochs = epochs;
+                epochs.sort_unstable();
+                epochs.dedup_by_key(|(epoch, _)| *epoch);
+                let mut history = VersionedSafePointStore::new();
+                let mut stores: BTreeMap<u32, SafePointStore> =
+                    epochs.iter().map(|&(epoch, _)| (epoch, SafePointStore::new())).collect();
+                if !epochs.is_empty() {
+                    for (board, slot, derived) in records {
+                        let epoch = epochs[slot % epochs.len()].0;
+                        let mut r = record(board, epoch, 900 + 5 * (epoch % 8));
+                        if !derived {
+                            r.operating_point = None;
+                        }
+                        history.insert(epoch, r.clone());
+                        stores.get_mut(&epoch).expect("epoch has a store").insert(r);
+                    }
+                }
+                // Shuffle the roll order by each epoch's random key.
+                epochs.sort_unstable_by_key(|&(epoch, key)| (key, epoch));
+
+                let state = ControlState::new();
+                for (epoch, _) in &epochs {
+                    state.roll_epoch(*epoch, &stores[epoch]);
+                }
+                let snapshot = state.snapshot();
+                prop_assert_eq!(&snapshot.index, &history.latest_index());
+                prop_assert_eq!(snapshot.latest_epoch, history.latest_epoch());
+            }
+        }
     }
 }

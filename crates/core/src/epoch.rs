@@ -114,8 +114,8 @@ impl VersionedSafePointStore {
             .find_map(|(epoch, store)| store.get(board).map(|r| (*epoch, r)))
     }
 
-    /// Builds the read-optimized [`LatestIndex`] of this store version:
-    /// one pass over every epoch, O(log boards) lookups afterwards.
+    /// Builds the read-optimized [`LatestIndex`] of this store: one
+    /// fold per epoch, O(log boards) lookups afterwards.
     pub fn latest_index(&self) -> LatestIndex {
         LatestIndex::build(self)
     }
@@ -134,12 +134,12 @@ impl VersionedSafePointStore {
     /// `None` until the board has two epochs with derived points.
     ///
     /// Folds the board's history through the same [`MarginTrend`]
-    /// accumulator [`LatestIndex::build`] uses, so the scanning and
+    /// accumulator [`LatestIndex::fold`] uses, so the scanning and
     /// indexed answers can never drift apart.
     pub fn margin_decay_mv(&self, board: u32) -> Option<i64> {
         let mut trend = MarginTrend::default();
-        for (_, record) in self.history(board) {
-            trend.push(record);
+        for (epoch, record) in self.history(board) {
+            trend.push(epoch, record);
         }
         trend.decay_mv()
     }
@@ -159,25 +159,31 @@ impl VersionedSafePointStore {
 
 /// The margin-trajectory accumulator shared by the scanning
 /// [`VersionedSafePointStore::margin_decay_mv`] and the indexed
-/// [`LatestIndex`]: push a board's records in epoch order, read the
-/// decay off the end. Keeping one definition is what makes the
-/// "index equals scan" property structural rather than coincidental.
+/// [`LatestIndex`]: push a board's records, read the decay off the
+/// earliest and latest derived margins. Keeping one definition is what
+/// makes the "index equals scan" property structural rather than
+/// coincidental.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MarginTrend {
     epochs: usize,
-    first_margin_mv: Option<i64>,
-    last_margin_mv: Option<i64>,
+    /// `(epoch, margin)` of the earliest epoch with a derived margin.
+    first_margin_mv: Option<(u32, i64)>,
+    /// `(epoch, margin)` of the latest epoch with a derived margin.
+    last_margin_mv: Option<(u32, i64)>,
 }
 
 impl MarginTrend {
-    /// Folds one record (they must arrive in ascending epoch order).
-    pub fn push(&mut self, record: &BoardSafePoint) {
+    /// Folds one epoch's record. Epochs may arrive in any order, each
+    /// once.
+    pub fn push(&mut self, epoch: u32, record: &BoardSafePoint) {
         self.epochs += 1;
         if let Some(margin) = record.margin_mv() {
-            if self.first_margin_mv.is_none() {
-                self.first_margin_mv = Some(margin);
+            if self.first_margin_mv.is_none_or(|(first, _)| epoch < first) {
+                self.first_margin_mv = Some((epoch, margin));
             }
-            self.last_margin_mv = Some(margin);
+            if self.last_margin_mv.is_none_or(|(last, _)| epoch > last) {
+                self.last_margin_mv = Some((epoch, margin));
+            }
         }
     }
 
@@ -193,7 +199,7 @@ impl MarginTrend {
         if self.epochs < 2 {
             return None;
         }
-        Some(self.first_margin_mv? - self.last_margin_mv?)
+        Some(self.first_margin_mv?.1 - self.last_margin_mv?.1)
     }
 }
 
@@ -208,52 +214,54 @@ pub struct IndexEntry {
     pub trend: MarginTrend,
 }
 
-/// The read-optimized projection of one [`VersionedSafePointStore`]
-/// version: board → (latest epoch, latest record, margin trend), built
-/// in one pass and immutable afterwards.
+/// The read-optimized projection of a [`VersionedSafePointStore`]:
+/// board → (latest epoch, latest record, margin trend), grown one epoch
+/// at a time by [`LatestIndex::fold`].
 ///
 /// [`VersionedSafePointStore::latest_for`] walks the epoch map backwards
 /// on every call — O(epochs) per lookup, which a control plane serving
-/// millions of lookups cannot afford. This index pays that scan once per
-/// published store version; lookups are then a single map probe. The
-/// equivalence of the two paths is property-tested (`latest_for` and
-/// `margin_decay_mv` against [`LatestIndex::latest_for`] and
-/// [`LatestIndex::margin_decay_mv`] over arbitrary stores).
+/// millions of lookups cannot afford. This index folds each epoch in
+/// once, so it never has to keep the epochs themselves; lookups are a
+/// single map probe. The equivalence of the two paths is property-tested
+/// (`latest_for` and `margin_decay_mv` against
+/// [`LatestIndex::latest_for`] and [`LatestIndex::margin_decay_mv`] over
+/// arbitrary stores).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatestIndex {
     entries: BTreeMap<u32, IndexEntry>,
 }
 
 impl LatestIndex {
-    /// Builds the index in one ascending pass over every epoch: later
-    /// epochs overwrite the latest point, and every record feeds the
-    /// margin trend.
+    /// Builds the index of a whole store by folding its epochs in
+    /// ascending order.
     pub fn build(store: &VersionedSafePointStore) -> Self {
-        let mut entries: BTreeMap<u32, IndexEntry> = BTreeMap::new();
+        let mut index = LatestIndex::default();
         for (epoch, epoch_store) in store.epochs() {
-            for record in epoch_store.records() {
-                match entries.get_mut(&record.board) {
-                    Some(entry) => {
-                        entry.epoch = epoch;
-                        entry.point = record.clone();
-                        entry.trend.push(record);
-                    }
-                    None => {
-                        let mut trend = MarginTrend::default();
-                        trend.push(record);
-                        entries.insert(
-                            record.board,
-                            IndexEntry {
-                                epoch,
-                                point: record.clone(),
-                                trend,
-                            },
-                        );
-                    }
-                }
-            }
+            index.fold(epoch, epoch_store);
         }
-        LatestIndex { entries }
+        index
+    }
+
+    /// Folds one epoch's store into the index: a board's served point
+    /// moves to `epoch` only if `epoch` is newer than the one it holds,
+    /// and every record feeds the board's margin trend. Epochs may
+    /// arrive in any order, each once.
+    pub fn fold(&mut self, epoch: u32, store: &SafePointStore) {
+        for record in store.records() {
+            let entry = self
+                .entries
+                .entry(record.board)
+                .or_insert_with(|| IndexEntry {
+                    epoch,
+                    point: record.clone(),
+                    trend: MarginTrend::default(),
+                });
+            if epoch > entry.epoch {
+                entry.epoch = epoch;
+                entry.point = record.clone();
+            }
+            entry.trend.push(epoch, record);
+        }
     }
 
     /// A board's latest record with its epoch — the indexed equivalent
@@ -451,9 +459,9 @@ mod tests {
     fn margin_trend_needs_two_epochs_and_a_derived_margin() {
         let mut trend = MarginTrend::default();
         assert_eq!(trend.decay_mv(), None);
-        trend.push(&record(0, 0, 905));
+        trend.push(0, &record(0, 0, 905));
         assert_eq!(trend.decay_mv(), None, "one epoch is no trend");
-        trend.push(&record(0, 12, 925));
+        trend.push(12, &record(0, 12, 925));
         // 905 deploys 930, 925 deploys 950: 20 mV of guardband reclaimed.
         assert_eq!(trend.decay_mv(), Some(20));
 
@@ -462,10 +470,34 @@ mod tests {
         let mut bare = record(1, 0, 905);
         bare.operating_point = None;
         let mut trend = MarginTrend::default();
-        trend.push(&bare);
-        trend.push(&bare);
+        trend.push(0, &bare);
+        trend.push(12, &bare);
         assert_eq!(trend.epochs(), 2);
         assert_eq!(trend.decay_mv(), None);
+    }
+
+    #[test]
+    fn margin_trend_takes_epochs_in_any_order() {
+        // Month 12 arrives before month 0 (a resumed campaign finishing
+        // after a later one), then month 6 lands in between: the decay
+        // still runs from the earliest to the latest derived margin.
+        let mut trend = MarginTrend::default();
+        trend.push(12, &record(0, 12, 925)); // deploys 950 → margin 30
+        trend.push(0, &record(0, 0, 905)); // deploys 930 → margin 50
+        assert_eq!(trend.decay_mv(), Some(20));
+        trend.push(6, &record(0, 6, 915));
+        assert_eq!(trend.epochs(), 3);
+        assert_eq!(
+            trend.decay_mv(),
+            Some(20),
+            "a middle epoch moves neither end"
+        );
+
+        let mut in_order = MarginTrend::default();
+        for (epoch, rail) in [(0, 905), (6, 915), (12, 925)] {
+            in_order.push(epoch, &record(0, epoch, rail));
+        }
+        assert_eq!(in_order, trend);
     }
 
     mod equivalence {

@@ -126,7 +126,10 @@ fn assemble_observatory(
 pub struct FleetConfig {
     /// Worker threads.
     pub workers: usize,
-    /// Queue bound (backpressure on the coordinator).
+    /// Does nothing: the coordinator holds every pending job anyway, so
+    /// its queue is unbounded and a push never waits on workers that
+    /// may all be dead. It stays so the benchmark package keeps
+    /// compiling; the next change to the benchmark removes it.
     pub queue_capacity: usize,
     /// Does nothing: a worker takes one job at a time from the queue's
     /// front. It stays so the benchmark package keeps compiling; the next
@@ -523,7 +526,9 @@ pub fn run_fleet_durable<S: JournalStore>(
     }
 
     // ---- Execution: pool with a death schedule. ----
-    let queue = FleetQueue::new(config.workers, config.queue_capacity, config.batch_size);
+    // Unbounded: every pending job is already in memory, and a push that
+    // waited for room could wait on workers that have all died.
+    let queue = FleetQueue::new(config.workers, usize::MAX, config.batch_size);
     let (tx, rx) = mpsc::channel::<WorkerMsg>();
     let deaths: BTreeMap<usize, u64> = disruption.worker_deaths.iter().copied().collect();
     let mut duplicates_left = disruption.duplicate_deliveries;
@@ -586,10 +591,8 @@ pub fn run_fleet_durable<S: JournalStore>(
             let msg = match rx.recv() {
                 Ok(msg) => msg,
                 Err(_) => {
-                    // Every worker exited without a death report — only
-                    // possible if the pool drained past a closed queue,
-                    // which cannot happen with work outstanding; treat
-                    // it as pool loss rather than hang.
+                    // Every worker exited without a death report: they
+                    // panicked, and joining them below re-raises that.
                     interrupted = Some(FleetInterrupted::PoolLost {
                         completions: processed,
                         workers_lost: stats.workers_lost,
@@ -878,6 +881,46 @@ mod tests {
             baseline.characterization_json(),
             resumed.report.characterization_json()
         );
+    }
+
+    #[test]
+    fn losing_every_worker_behind_a_full_queue_interrupts_instead_of_hanging() {
+        // Ten jobs against a one-slot `queue_capacity` (which once
+        // bounded the coordinator's queue), and both workers die on
+        // their first job: the coordinator must still learn of both.
+        // Run it on its own thread so a hang fails the test instead of
+        // the suite.
+        let (tx, rx) = mpsc::channel();
+        let run = thread::spawn(move || {
+            let config = FleetConfig {
+                queue_capacity: 1,
+                ..FleetConfig::with_workers(2)
+            };
+            let wipeout = Disruption {
+                worker_deaths: vec![(0, 0), (1, 0)],
+                ..Disruption::none()
+            };
+            let mut journal = FleetJournal::new(MemStore::new());
+            let result = run_fleet_durable(
+                &small_fleet(),
+                &FleetCampaign::quick(),
+                &config,
+                &mut journal,
+                &wipeout,
+            );
+            let _ = tx.send(result.err());
+        });
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the coordinator returns instead of hanging");
+        run.join().expect("the run thread exits cleanly");
+        assert!(matches!(
+            err,
+            Some(FleetInterrupted::PoolLost {
+                workers_lost: 2,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! [`FleetQueue`] is a `Mutex` over a `VecDeque` and a closed flag, with
 //! one condvar for "not empty" and one for "not full". Every
 //! [`FleetQueue::next`] pops the front item, so no consumer ever holds
-//! an item another could run. The fleet coordinator pushes jobs into it
-//! (blocking while it is full: backpressure), re-queues evicted boards
-//! while the run is in flight, and re-queues the one job a dying worker
-//! held. The control plane's acceptor queues connections in one with
-//! [`FleetQueue::try_push`], which hands a connection back when the
+//! an item another could run. The fleet coordinator pushes jobs into an
+//! unbounded one (it holds every pending job anyway, and a push must
+//! never wait on workers that may all have died), re-queues evicted
+//! boards while the run is in flight, and re-queues the one job a dying
+//! worker held. The control plane's acceptor queues connections in one
+//! with [`FleetQueue::try_push`], which hands a connection back when the
 //! queue is full so the acceptor can shed it.
 //!
 //! The queue only decides *which worker runs which job when* — job

@@ -1,17 +1,15 @@
-//! Lightweight profiling timers feeding the metrics registry.
+//! A lightweight profiling timer feeding the metrics registry.
 //!
-//! Two time axes coexist in this workspace: *wall time* (how long the
-//! host actually spent, e.g. inside a Vmin search) and *simulated time*
-//! (milliseconds of modelled board time). [`WallTimer`] measures the
-//! former with `std::time::Instant`; [`SimTimer`] measures the latter
-//! from caller-supplied timestamps. Both observe into histograms of the
-//! installed [`Registry`](crate::metrics::Registry) — wall time never
-//! enters recorded *events*, so traces stay deterministic.
+//! [`WallTimer`] measures *wall time* (how long the host actually
+//! spent, e.g. inside a Vmin search) with `std::time::Instant` and
+//! observes it into a histogram of the installed
+//! [`Registry`](crate::metrics::Registry) — wall time never enters
+//! recorded *events*, so traces stay deterministic.
 //!
-//! Both timers are no-ops (no clock read, no allocation) when no
-//! registry is installed.
+//! The timer is a no-op (no clock read, no allocation) when no registry
+//! is installed.
 
-use crate::metrics::{SIM_MS_BUCKETS, WALL_SECONDS_BUCKETS};
+use crate::metrics::WALL_SECONDS_BUCKETS;
 
 /// RAII wall-clock timer: observes the elapsed seconds into the
 /// histogram `name` (with [`WALL_SECONDS_BUCKETS`]) when dropped.
@@ -44,35 +42,6 @@ impl Drop for WallTimer {
     }
 }
 
-/// Simulated-time interval timer over caller-supplied millisecond
-/// timestamps (e.g. `DramArray::now()`).
-#[derive(Debug)]
-pub struct SimTimer {
-    name: &'static str,
-    start_ms: f64,
-}
-
-impl SimTimer {
-    /// Starts an interval at simulated time `start_ms`.
-    pub fn start(name: &'static str, start_ms: f64) -> Self {
-        SimTimer { name, start_ms }
-    }
-
-    /// Ends the interval at `end_ms`, observing the duration.
-    pub fn finish(self, end_ms: f64) {
-        observe_sim_ms(self.name, end_ms - self.start_ms);
-    }
-}
-
-/// Observes one simulated-time duration (milliseconds) into the
-/// histogram `name`, declared with [`SIM_MS_BUCKETS`] on first use.
-pub fn observe_sim_ms(name: &str, ms: f64) {
-    let _ = crate::with_registry(|reg| {
-        reg.register_histogram(name, &SIM_MS_BUCKETS);
-        reg.observe(name, ms);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,21 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn sim_timer_observes_supplied_interval() {
-        let reg = Rc::new(Registry::new());
-        let _guard = Telemetry::new().with_registry(reg.clone()).install();
-        let t = SimTimer::start("scrub_pass_ms", 1000.0);
-        t.finish(1250.0);
-        let h = reg.histogram("scrub_pass_ms").unwrap();
-        assert_eq!(h.count, 1);
-        assert!((h.sum - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn timers_are_noops_without_registry() {
         let _t = WallTimer::start("nothing");
         assert!(_t.start.is_none());
-        SimTimer::start("nothing", 0.0).finish(5.0);
-        observe_sim_ms("nothing", 1.0);
     }
 }
