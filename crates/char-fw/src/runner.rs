@@ -795,6 +795,26 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_before_the_first_run_carries_the_population_recipe() {
+        let mut server = XGene2Server::new(SigmaBin::Ttt, 7);
+        let core = server.chip().most_robust_core();
+        let campaign = campaign_for(&["mcf"], vec![core]);
+        let runner = ResilientRunner::new(&mut server, campaign, ResilienceConfig::dsn18());
+        let json = runner.checkpoint().to_json();
+        // The ~28,400 generated weak cells took 5.8 MB as a cell list.
+        assert!(json.len() < 64 * 1024, "{} bytes", json.len());
+        let back = CampaignCheckpoint::from_json(&json).unwrap();
+        assert_eq!(
+            back.server.dram().population().cells(),
+            XGene2Server::new(SigmaBin::Ttt, 7)
+                .dram()
+                .population()
+                .cells()
+        );
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
     fn checkpoint_embeds_and_roundtrips_the_metrics_snapshot() {
         let registry = std::rc::Rc::new(telemetry::Registry::new());
         let _guard = telemetry::Telemetry::new()

@@ -30,13 +30,12 @@
 
 use crate::geometry::{BankId, BANKS_PER_CHIP};
 use crate::math;
-use crate::retention::{random_cell, CouplingContext, WeakCell, WeakCellPopulation};
+use crate::retention::{random_cell, CouplingContext, WeakCellPopulation, WordSet};
 use power_model::units::{Celsius, Milliseconds};
 use rand::mix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Location parameter of the grown-cell retention lognormal: median
 /// 0.35 s at 60 °C, well inside the weak tail.
@@ -123,7 +122,7 @@ impl DramAging {
             seed ^ 0xA6ED_0C11 ^ ((bank.index() as u64) << 48) ^ k,
         ));
         let cap_s = Milliseconds::DSN18_RELAXED_TREFP.as_secs();
-        let r_s = math::sample_lognormal_below(&mut rng, GROWTH_MU_LN_S, GROWTH_SIGMA, cap_s);
+        let r_s = math::LognormalBelow::new(GROWTH_MU_LN_S, GROWTH_SIGMA, cap_s).sample(&mut rng);
         use rand::Rng;
         let relief_alt = rng.gen_range(1.05..1.30);
         let relief_uni = rng.gen_range(1.20..1.70);
@@ -162,17 +161,15 @@ impl DramAging {
     /// another weak cell.
     pub fn aged(&self, base: &WeakCellPopulation, months: u32, seed: u64) -> WeakCellPopulation {
         let decay = self.decay_factor(months);
-        let mut cells: Vec<WeakCell> = base
-            .cells()
-            .iter()
-            .map(|c| {
-                let mut aged = c.clone();
-                aged.retention_at_60c_ms *= decay;
-                aged
-            })
-            .collect();
-        let mut occupied: HashSet<u64> =
-            base.cells().iter().map(|c| c.addr.word.flatten()).collect();
+        let grown = self.grown_per_bank(months) as usize * BANKS_PER_CHIP;
+        let mut cells = Vec::with_capacity(base.len() + grown);
+        cells.extend(base.cells().iter().map(|c| {
+            let mut aged = c.clone();
+            aged.retention_at_60c_ms *= decay;
+            aged
+        }));
+        let mut occupied = WordSet::with_capacity_and_hasher(base.len() + grown, <_>::default());
+        occupied.extend(base.cells().iter().map(|c| c.addr.word.flatten()));
         for bank in BankId::all() {
             // One address stream per bank: draws for bank b never move
             // when another bank's cell count changes.
@@ -251,8 +248,8 @@ impl Default for DramAging {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retention::{PopulationSpec, RetentionModel};
-    use std::collections::HashMap;
+    use crate::retention::{PopulationSpec, RetentionModel, WeakCell};
+    use std::collections::{HashMap, HashSet};
 
     fn base() -> WeakCellPopulation {
         WeakCellPopulation::generate(&RetentionModel::xgene2_micron(), PopulationSpec::dsn18(), 3)

@@ -89,8 +89,14 @@ impl<'a> Fields<'a> {
     }
 
     fn get<T: serde::Deserialize>(&self, name: &str) -> Result<T, serde::Error> {
-        let value = serde::map_get(self.map, name)
-            .ok_or_else(|| serde::Error::missing_field(self.ty, name))?;
-        T::from_value(value)
+        self.opt(name)?
+            .ok_or_else(|| serde::Error::missing_field(self.ty, name))
+    }
+
+    /// The field `name` decoded, or `None` when it is absent.
+    fn opt<T: serde::Deserialize>(&self, name: &str) -> Result<Option<T>, serde::Error> {
+        serde::map_get(self.map, name)
+            .map(T::from_value)
+            .transpose()
     }
 }

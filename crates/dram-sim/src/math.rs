@@ -122,20 +122,42 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Samples a truncated lognormal `exp(N(mu, sigma))` conditioned on the
-/// value being below `cap`, by inverse-CDF sampling.
-///
-/// # Panics
-///
-/// Panics if `cap` is not positive or `sigma` is not positive.
-pub fn sample_lognormal_below<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64, cap: f64) -> f64 {
-    assert!(cap > 0.0, "cap must be positive");
-    assert!(sigma > 0.0, "sigma must be positive");
-    let z_cap = (cap.ln() - mu) / sigma;
-    let p_cap = normal_cdf(z_cap).max(f64::MIN_POSITIVE);
-    let u = rng.gen_range(f64::MIN_POSITIVE..1.0) * p_cap;
-    let z = normal_quantile(u.min(1.0 - 1e-16));
-    (mu + sigma * z).exp()
+/// A truncated lognormal `exp(N(mu, sigma))` conditioned on the value
+/// being below `cap`, sampled by inverse CDF. The constants that depend
+/// only on the distribution are computed once, at construction, so a
+/// population draws each tail's cells from one sampler.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LognormalBelow {
+    mu: f64,
+    sigma: f64,
+    /// Φ of the cap's standard score: the draw's quantile range.
+    p_cap: f64,
+}
+
+impl LognormalBelow {
+    /// The distribution of `exp(N(mu, sigma))` below `cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is not positive or `sigma` is not positive.
+    pub fn new(mu: f64, sigma: f64, cap: f64) -> Self {
+        assert!(cap > 0.0, "cap must be positive");
+        assert!(sigma > 0.0, "sigma must be positive");
+        let z_cap = (cap.ln() - mu) / sigma;
+        LognormalBelow {
+            mu,
+            sigma,
+            p_cap: normal_cdf(z_cap).max(f64::MIN_POSITIVE),
+        }
+    }
+
+    /// Draws one value (one uniform draw from `rng`).
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let u = rng.gen_range(f64::MIN_POSITIVE..1.0) * self.p_cap;
+        let z = normal_quantile(u.min(1.0 - 1e-16));
+        (self.mu + self.sigma * z).exp()
+    }
 }
 
 #[cfg(test)]
@@ -188,8 +210,9 @@ mod tests {
     #[test]
     fn truncated_lognormal_respects_cap() {
         let mut rng = StdRng::seed_from_u64(2);
+        let below = LognormalBelow::new(2.5, 0.5, 3.0);
         for _ in 0..5_000 {
-            let v = sample_lognormal_below(&mut rng, 2.5, 0.5, 3.0);
+            let v = below.sample(&mut rng);
             assert!(v > 0.0 && v < 3.0, "sample {v}");
         }
     }

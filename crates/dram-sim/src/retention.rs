@@ -29,6 +29,8 @@ use power_model::units::{Celsius, Milliseconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Which stored value leaks: a *true cell* loses a stored `1`, an
@@ -267,13 +269,19 @@ impl PopulationSpec {
 /// assert!(pop.len() > 10_000); // tens of thousands of weak cells
 /// ```
 ///
-/// It encodes as its model and cell list. The row index is built on the
-/// first row lookup, so a board that is booted and never reads its DRAM
-/// pays for its cell list only.
+/// A generated population encodes as the recipe it was drawn from,
+/// `{model, spec, seed}`, and decoding draws it again; a population built
+/// from an explicit cell list ([`Self::from_cells`]: an aged one, or one
+/// decoded from a checkpoint that carried cells) encodes as `{model,
+/// cells}`. The row index is built on the first row lookup, so a board
+/// that is booted and never reads its DRAM pays for its cell list only.
 #[derive(Debug)]
 pub struct WeakCellPopulation {
     model: RetentionModel,
     cells: Vec<WeakCell>,
+    /// The envelope and seed [`Self::generate`] drew the cells from;
+    /// `None` for an explicit cell list.
+    recipe: Option<(PopulationSpec, u64)>,
     index: OnceLock<RowIndex>,
 }
 
@@ -284,6 +292,7 @@ impl Clone for WeakCellPopulation {
         WeakCellPopulation {
             model: self.model.clone(),
             cells: self.cells.clone(),
+            recipe: self.recipe,
             index: OnceLock::from(self.index().clone()),
         }
     }
@@ -391,62 +400,160 @@ impl RowIndex {
     }
 }
 
-impl WeakCellPopulation {
-    /// Generates a population covering `spec`, deterministically from
-    /// `seed`.
-    pub fn generate(model: &RetentionModel, spec: PopulationSpec, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut cells = Vec::new();
-        // Manufacturers map out words with multiple marginal cells through
-        // row/column sparing at production test, so no code word hosts two
-        // weak cells — consistent with the paper observing zero
-        // uncorrectable errors. Generation resamples colliding locations.
-        let mut occupied_words: std::collections::HashSet<u64> = std::collections::HashSet::new();
+/// What generation draws from, per tail and bank. Nothing here draws a
+/// random number, so it is computed before the first draw and leaves the
+/// generator's stream unchanged.
+struct Tails {
+    /// `(mu, sigma, cap_s)` of the main and the defect tail's truncated
+    /// lognormal, in that order.
+    shapes: [(f64, f64, f64); 2],
+    /// Per bank, the Poisson mean of each tail's cell count.
+    means: [[f64; 2]; BANKS_PER_CHIP],
+}
+
+/// Most cells a decoded recipe may expect: 2²¹ (84 MB of cells). That
+/// admits the model's 45–75 °C window at the paper's 2.283 s, where 75 °C
+/// expects about 1.11 million cells and 60 °C about 28,300.
+const MAX_DECODED_CELLS: f64 = 2_097_152.0;
+
+impl Tails {
+    fn new(model: &RetentionModel, spec: PopulationSpec) -> Self {
         // Worst-case base-retention threshold a cell needs to possibly fail
         // within the spec envelope (plus slack for stress-relief factors —
         // relief multipliers only *raise* effective retention, so the
         // envelope threshold itself is sufficient).
         let threshold_s = spec.max_trefp.as_secs() / model.temperature_factor(spec.max_temperature);
-
         let z_cal =
             (model.calibration_trefp.as_secs().ln() - model.main_mu_ln_s) / model.main_sigma;
         let p_cal = math::normal_cdf(z_cal);
+        let z_thr = (threshold_s.ln() - model.main_mu_ln_s) / model.main_sigma;
+        let p_thr = math::normal_cdf(z_thr);
+        // Defect tail (cap may exceed the envelope threshold at mild
+        // conditions; generate up to the smaller of the two).
+        let cap = model.defect_cap_s.min(threshold_s.max(f64::MIN_POSITIVE));
+        let zc = (model.defect_cap_s.ln() - model.defect_mu_ln_s) / model.defect_sigma;
+        let zd = (cap.ln() - model.defect_mu_ln_s) / model.defect_sigma;
+        let (p_d, p_c) = (math::normal_cdf(zd), math::normal_cdf(zc));
+        Tails {
+            shapes: [
+                (model.main_mu_ln_s, model.main_sigma, threshold_s),
+                (model.defect_mu_ln_s, model.defect_sigma, cap),
+            ],
+            means: std::array::from_fn(|b| {
+                [
+                    model.main_rate_per_bank[b] * p_thr / p_cal,
+                    model.defect_rate_per_bank[b] * p_d / p_c,
+                ]
+            }),
+        }
+    }
 
-        for bank in BankId::all() {
-            let b = bank.index();
-            // Main tail.
-            let z_thr = (threshold_s.ln() - model.main_mu_ln_s) / model.main_sigma;
-            let lambda_main = model.main_rate_per_bank[b] * math::normal_cdf(z_thr) / p_cal;
-            let n_main = math::sample_poisson(&mut rng, lambda_main);
-            for _ in 0..n_main {
-                let r = math::sample_lognormal_below(
-                    &mut rng,
-                    model.main_mu_ln_s,
-                    model.main_sigma,
-                    threshold_s,
-                );
-                cells.push(random_cell(&mut rng, bank, r * 1000.0, &mut occupied_words));
-            }
-            // Defect tail (cap may exceed the envelope threshold at mild
-            // conditions; generate up to the smaller of the two).
-            let cap = model.defect_cap_s.min(threshold_s.max(f64::MIN_POSITIVE));
-            let zc = (model.defect_cap_s.ln() - model.defect_mu_ln_s) / model.defect_sigma;
-            let zd = (cap.ln() - model.defect_mu_ln_s) / model.defect_sigma;
-            let lambda_defect =
-                model.defect_rate_per_bank[b] * math::normal_cdf(zd) / math::normal_cdf(zc);
-            let n_defect = math::sample_poisson(&mut rng, lambda_defect);
-            for _ in 0..n_defect {
-                let r = math::sample_lognormal_below(
-                    &mut rng,
-                    model.defect_mu_ln_s,
-                    model.defect_sigma,
-                    cap,
-                );
-                cells.push(random_cell(&mut rng, bank, r * 1000.0, &mut occupied_words));
+    /// The expected cell count: the sum of the Poisson means.
+    fn expected(&self) -> f64 {
+        self.means.iter().flatten().sum()
+    }
+
+    /// Whether generation can draw these tails: every mean finite and not
+    /// negative, at most [`MAX_DECODED_CELLS`] in all, and a finite shape
+    /// with a positive `sigma` and cap for every tail that expects cells.
+    fn check(&self) -> Result<(), Error> {
+        if !self
+            .means
+            .iter()
+            .flatten()
+            .all(|&m| m >= 0.0 && m.is_finite())
+        {
+            return Err(Error::custom(format!(
+                "population recipe has no finite cell count: {:?}",
+                self.means
+            )));
+        }
+        let expected = self.expected();
+        if expected > MAX_DECODED_CELLS {
+            return Err(Error::custom(format!(
+                "population recipe expects {expected:.0} weak cells, above {MAX_DECODED_CELLS}"
+            )));
+        }
+        for (tail, &(mu, sigma, cap)) in self.shapes.iter().enumerate() {
+            let drawn = self.means.iter().any(|means| means[tail] > 0.0);
+            if drawn && !(mu.is_finite() && sigma.is_finite() && sigma > 0.0 && cap > 0.0) {
+                return Err(Error::custom(format!(
+                    "population recipe has no valid tail shape: mu {mu}, sigma {sigma}, cap {cap}"
+                )));
             }
         }
+        Ok(())
+    }
+}
 
-        WeakCellPopulation::from_cells(model.clone(), cells)
+/// Occupied code words by flat address. Membership is exact, so the hash
+/// decides no resample; one [`rand::mix64`] per word costs a fraction of
+/// the randomly keyed SipHash a default set would run. The hash is fixed
+/// and invertible, so the set suits addresses the generators draw, not
+/// addresses chosen outside the program to collide.
+pub(crate) type WordSet = HashSet<u64, BuildHasherDefault<WordHasher>>;
+
+/// The [`WordSet`] hasher: the SplitMix64 finalizer of a `u64` key.
+#[derive(Debug, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = rand::mix64(self.0 ^ word);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+}
+
+impl WeakCellPopulation {
+    /// Generates a population covering `spec`, deterministically from
+    /// `seed`.
+    ///
+    /// What one population costs: per bank and tail one Poisson draw and
+    /// one truncated-lognormal sampler, then per cell one retention draw,
+    /// one placement and one probe of the occupied-word set. The set and
+    /// the cell list are sized from the expected count before the first
+    /// draw, so neither grows while it fills.
+    pub fn generate(model: &RetentionModel, spec: PopulationSpec, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tails = Tails::new(model, spec);
+        let expected = tails.expected();
+        // Manufacturers map out words with multiple marginal cells through
+        // row/column sparing at production test, so no code word hosts two
+        // weak cells — consistent with the paper observing zero
+        // uncorrectable errors. Generation resamples colliding locations.
+        let mut occupied_words =
+            WordSet::with_capacity_and_hasher(expected as usize, <_>::default());
+        // The count is a sum of Poisson draws: a few standard deviations
+        // over its mean, the list never grows.
+        let mut cells = Vec::with_capacity((expected + 6.0 * expected.sqrt()) as usize);
+        for bank in BankId::all() {
+            // Main tail, then defect tail.
+            for (&(mu, sigma, cap), lambda) in tails.shapes.iter().zip(tails.means[bank.index()]) {
+                let n = math::sample_poisson(&mut rng, lambda);
+                if n == 0 {
+                    continue;
+                }
+                let below = math::LognormalBelow::new(mu, sigma, cap);
+                for _ in 0..n {
+                    let r = below.sample(&mut rng);
+                    cells.push(random_cell(&mut rng, bank, r * 1000.0, &mut occupied_words));
+                }
+            }
+        }
+        WeakCellPopulation {
+            recipe: Some((spec, seed)),
+            ..WeakCellPopulation::from_cells(model.clone(), cells)
+        }
     }
 
     /// Builds a population around an explicit cell list — the constructor
@@ -456,6 +563,7 @@ impl WeakCellPopulation {
         WeakCellPopulation {
             model,
             cells,
+            recipe: None,
             index: OnceLock::new(),
         }
     }
@@ -581,27 +689,47 @@ impl WeakCellPopulation {
 
 impl Serialize for WeakCellPopulation {
     fn to_value(&self) -> Value {
-        Value::Map(vec![
-            entry("model", &self.model),
-            entry("cells", &self.cells),
-        ])
+        let model = entry("model", &self.model);
+        Value::Map(match self.recipe {
+            Some((spec, seed)) => vec![model, entry("spec", &spec), entry("seed", &seed)],
+            None => vec![model, entry("cells", &self.cells)],
+        })
     }
 }
 
-/// Decodes the model and cells; the row index is built again on first
-/// use. Checkpoints taken before the index was row-major also carry
-/// `row_index` and `row_bitmap` fields in the old flat layout; they are
-/// never read.
+/// Decodes a recipe, `{model, spec, seed}`, by drawing the population
+/// again, or a cell list, `{model, cells}`, around those cells; the row
+/// index is built again on first use.
+///
+/// A recipe decodes when generation can draw it: each tail's expected
+/// count per bank is finite and not negative, the counts sum to at most
+/// 2²¹ cells, and a tail that expects cells has a finite shape with a
+/// positive `sigma` and cap. At the paper's 2.283 s the bound admits
+/// every temperature of the model's 45–75 °C window (60 °C expects about
+/// 28,300 cells, 70 °C about 379,000 and 75 °C about 1.11 million); 80 °C
+/// (2.8 million), or 60 °C at four times the period, is refused. A NaN
+/// temperature or a negative refresh period makes a count NaN and is
+/// refused too. Every listed cell must lie inside the array: its rank,
+/// bank, row, column and bit in range. Checkpoints taken before the index
+/// was row-major also carry `row_index` and `row_bitmap` fields in the
+/// old flat layout; they are never read.
 impl Deserialize for WeakCellPopulation {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let fields = Fields::of("WeakCellPopulation", v)?;
         let model: RetentionModel = fields.get("model")?;
+        if let Some(spec) = fields.opt::<PopulationSpec>("spec")? {
+            let seed: u64 = fields.get("seed")?;
+            Tails::new(&model, spec).check()?;
+            return Ok(WeakCellPopulation::generate(&model, spec, seed));
+        }
         let cells: Vec<WeakCell> = fields.get("cells")?;
         if let Some(cell) = cells.iter().find(|c| {
             let w = c.addr.word;
             w.rank.index() >= RANK_COUNT
                 || w.bank.index() >= BANKS_PER_CHIP
                 || w.row as usize >= ROWS_PER_BANK
+                || usize::from(w.col) >= COLS_PER_ROW
+                || usize::from(c.addr.bit) >= CODE_BITS_PER_WORD
         }) {
             return Err(Error::custom(format!(
                 "weak cell outside the array: {:?}",
@@ -618,7 +746,7 @@ pub(crate) fn random_cell(
     rng: &mut StdRng,
     bank: BankId,
     retention_ms: f64,
-    occupied_words: &mut std::collections::HashSet<u64>,
+    occupied_words: &mut WordSet,
 ) -> WeakCell {
     let (rank, row, col) = loop {
         let rank = RankId::new(rng.gen_range(0..8));
@@ -853,13 +981,124 @@ mod tests {
     #[test]
     fn decoding_rejects_cells_outside_the_array() {
         let model = RetentionModel::xgene2_micron();
-        let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 3);
+        let generated = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 3);
+        let pop = WeakCellPopulation::from_cells(model.clone(), generated.cells().to_vec());
         let text = serde::json::to_string(&pop);
         let back: WeakCellPopulation = serde::json::from_str(&text).unwrap();
         assert_eq!(back.cells(), pop.cells());
         let past_the_last_rank = text.replacen("\"rank\":[", "\"rank\":[9", 1);
-        let err = serde::json::from_str::<WeakCellPopulation>(&past_the_last_rank).unwrap_err();
-        assert!(err.to_string().contains("outside the array"), "{err}");
+        // The address types decode without their constructors' checks, so
+        // a column or bit past the word reached the first scrub.
+        let with_first_cell = |edit: fn(&mut CellAddr)| {
+            let mut cells = pop.cells().to_vec();
+            edit(&mut cells[0].addr);
+            serde::json::to_string(&WeakCellPopulation::from_cells(model.clone(), cells))
+        };
+        let past_the_last_column = with_first_cell(|addr| addr.word.col = 1500);
+        let past_the_last_bit = with_first_cell(|addr| addr.bit = 80);
+        for outside in [past_the_last_rank, past_the_last_column, past_the_last_bit] {
+            let err = serde::json::from_str::<WeakCellPopulation>(&outside).unwrap_err();
+            assert!(err.to_string().contains("outside the array"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_generated_population_encodes_as_its_recipe() {
+        let model = RetentionModel::xgene2_micron();
+        let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 2018);
+        let text = serde::json::to_string(&pop);
+        assert!(text.len() < 1024, "{} bytes", text.len());
+        let value = serde::json::parse(&text).unwrap();
+        let keys: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["model", "spec", "seed"]);
+
+        let back: WeakCellPopulation = serde::json::from_str(&text).unwrap();
+        assert_eq!(back.cells(), pop.cells());
+        assert_eq!(serde::json::to_string(&back), text);
+        // A clone keeps the recipe.
+        assert_eq!(serde::json::to_string(&pop.clone()), text);
+    }
+
+    #[test]
+    fn an_explicit_cell_list_encodes_as_its_cells() {
+        let model = RetentionModel::xgene2_micron();
+        let base = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 3);
+        let aged = crate::aging::DramAging::dsn18().aged(&base, 36, 7);
+        let text = serde::json::to_string(&aged);
+        assert!(text.contains("\"cells\""));
+        assert!(!text.contains("\"seed\""));
+        let back: WeakCellPopulation = serde::json::from_str(&text).unwrap();
+        assert_eq!(back.cells(), aged.cells());
+        assert_eq!(serde::json::to_string(&back), text);
+    }
+
+    /// Replaces every `from` number in `value` by `to`.
+    fn replace_f64(value: &mut Value, from: f64, to: f64) {
+        match value {
+            Value::F64(x) if *x == from => *x = to,
+            Value::Seq(items) => items.iter_mut().for_each(|v| replace_f64(v, from, to)),
+            Value::Map(fields) => fields
+                .iter_mut()
+                .for_each(|(_, v)| replace_f64(v, from, to)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn a_recipe_outside_the_envelope_decodes_to_an_error() {
+        // A recipe whose envelope reads as a decoder may find it: the unit
+        // constructors refuse NaN and negative values, a decoded value is
+        // whatever its source says.
+        let recipe = |model: &RetentionModel, max_temperature: f64, max_trefp: f64| {
+            let spec = PopulationSpec {
+                max_temperature: Celsius::new(-123.25),
+                max_trefp: Milliseconds::new(98_765.5),
+            };
+            let mut value = WeakCellPopulation {
+                recipe: Some((spec, 3)),
+                ..WeakCellPopulation::from_cells(model.clone(), Vec::new())
+            }
+            .to_value();
+            replace_f64(&mut value, -123.25, max_temperature);
+            replace_f64(&mut value, 98_765.5, max_trefp);
+            value
+        };
+        let model = RetentionModel::xgene2_micron();
+        let relaxed = Milliseconds::DSN18_RELAXED_TREFP.as_f64();
+        let mut flat = model.clone();
+        flat.main_sigma = 0.0;
+        for (what, value) in [
+            ("a NaN temperature", recipe(&model, f64::NAN, relaxed)),
+            ("a negative refresh period", recipe(&model, 60.0, -1.0)),
+            ("a hot envelope", recipe(&model, 150.0, relaxed)),
+            ("a long envelope", recipe(&model, 60.0, 1e9)),
+            (
+                "an infinite temperature",
+                recipe(&model, f64::INFINITY, relaxed),
+            ),
+            ("a tail without width", recipe(&flat, 60.0, relaxed)),
+        ] {
+            let err = WeakCellPopulation::from_value(&value)
+                .map(|pop| pop.len())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("population recipe"),
+                "{what}: {err}"
+            );
+        }
+
+        // The edges of the accepted envelope decode: no refresh period
+        // (an empty population) and 70 °C at the paper's period.
+        for (max_temperature, max_trefp) in [(60.0, 0.0), (70.0, relaxed)] {
+            let value = recipe(&model, max_temperature, max_trefp);
+            let pop = WeakCellPopulation::from_value(&value).unwrap();
+            assert_eq!(pop.to_value(), value);
+        }
     }
 
     #[test]
@@ -880,6 +1119,42 @@ mod tests {
         let row = pop.rows_with_cells().next().unwrap();
         assert_eq!(fresh.cells_in_row(row), pop.cells_in_row(row));
         assert!(fresh.index.get().is_some(), "a lookup builds the index");
+    }
+
+    /// FNV-1a of the JSON of generated cells, recorded before generation
+    /// was made cheaper: a changed resample decision or a reordered float
+    /// operation moves one of them.
+    #[test]
+    fn generated_cells_keep_their_recorded_bytes() {
+        let model = RetentionModel::xgene2_micron();
+        let fingerprint = |pop: &WeakCellPopulation| {
+            let json = serde::json::to_string(pop.cells());
+            format!("{:016x}", rand::fnv1a(rand::FNV_OFFSET, json.as_bytes()))
+        };
+        let dsn18 = |seed| WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), seed);
+        let hot = PopulationSpec {
+            max_temperature: Celsius::new(70.0),
+            max_trefp: Milliseconds::DSN18_RELAXED_TREFP,
+        };
+        let base = dsn18(3);
+        let aged = crate::aging::DramAging::dsn18().aged(&base, 36, 7);
+        let fingerprints = [
+            fingerprint(&base),
+            fingerprint(&dsn18(2018)),
+            fingerprint(&dsn18(u64::MAX)),
+            fingerprint(&WeakCellPopulation::generate(&model, hot, 3)),
+            fingerprint(&aged),
+        ];
+        assert_eq!(
+            fingerprints,
+            [
+                "ca9a916acfb9109c",
+                "d9c0a88a6cc12450",
+                "2e66715e0a9fe730",
+                "e4129981c2ce9dbf",
+                "d4c634a72479869f",
+            ]
+        );
     }
 
     #[test]

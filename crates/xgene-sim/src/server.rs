@@ -143,28 +143,7 @@ impl XGene2Server {
     /// Boots a server whose DRAM population covers a custom envelope
     /// (needed for sweeps beyond 60 °C / 2.283 s).
     pub fn with_population_spec(bin: SigmaBin, seed: u64, spec: PopulationSpec) -> Self {
-        let population = WeakCellPopulation::generate(&RetentionModel::xgene2_micron(), spec, seed);
-        let dram = DramArray::new(
-            population,
-            Milliseconds::DDR3_NOMINAL_TREFP,
-            Celsius::new(45.0),
-        );
-        XGene2Server {
-            chip: ChipProfile::corner(bin),
-            fault_model: FaultModel::default(),
-            power_model: ServerPowerModel::xgene2(),
-            dram,
-            pmd_voltage: Millivolts::XGENE2_NOMINAL,
-            soc_voltage: Millivolts::XGENE2_NOMINAL,
-            pmd_frequencies: [Megahertz::XGENE2_NOMINAL; PMD_COUNT],
-            dram_temperature: Celsius::new(45.0),
-            reset_count: 0,
-            rng: StdRng::seed_from_u64(seed ^ 0xD5A5_5A5D),
-            fault_plan: None,
-            hung: false,
-            attacker_seed: seed ^ ATTACKER_STREAM_DOMAIN.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            attacker_rng: None,
-        }
+        XGene2Server::with_chip(ChipProfile::corner(bin), seed, spec)
     }
 
     /// Boots a server around an explicit chip personality (typically
@@ -174,9 +153,8 @@ impl XGene2Server {
     /// population and fault RNG still derive deterministically from
     /// `seed`.
     pub fn with_chip(chip: ChipProfile, seed: u64, spec: PopulationSpec) -> Self {
-        let mut server = XGene2Server::with_population_spec(chip.bin(), seed, spec);
-        server.chip = chip;
-        server
+        let population = WeakCellPopulation::generate(&RetentionModel::xgene2_micron(), spec, seed);
+        XGene2Server::with_chip_and_population(chip, seed, population)
     }
 
     /// Boots a server around an explicit chip *and* an explicit DRAM
