@@ -7,23 +7,27 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use telemetry::event::EventKind;
-use telemetry::{series_name, CaptureSink, Event, Level, Registry, Sink};
+use telemetry::{series_name, CaptureSink, Level, Record, Registry, Sink, Value};
 
 const EVENTS: usize = 100_000;
 const NAMES: usize = 1_000;
 const SERIES: usize = 1_000;
 
 fn loaded_sink() -> CaptureSink {
+    // Records carry `'static` names, as the macros' literals are.
+    let names: Vec<&'static str> = (0..NAMES)
+        .map(|i| &*Box::leak(format!("event_{i}").into_boxed_str()))
+        .collect();
     let sink = CaptureSink::new();
     for i in 0..EVENTS {
-        sink.record(&Event {
+        sink.record(&Record {
             seq: i as u64,
             kind: EventKind::Event,
             level: Level::Info,
-            target: "bench".into(),
-            name: format!("event_{}", i % NAMES).into(),
-            span_path: Vec::new(),
-            fields: vec![("i".into(), (i as u64).into())],
+            target: "bench",
+            name: names[i % NAMES],
+            span_path: &[],
+            fields: &[("i", Value::U64(i as u64))],
         });
     }
     sink

@@ -25,7 +25,7 @@ pub struct MultiProcessCampaign {
     pub start: Millivolts,
     /// Search floor.
     pub floor: Millivolts,
-    /// Step in mV.
+    /// Step in mV (zero walks in 1 mV steps).
     pub step_mv: u32,
     /// Repetitions per setup.
     pub repetitions: u32,
@@ -103,7 +103,7 @@ pub fn run_multiprocess_campaign(
         } else {
             break;
         }
-        v = v.step_down(campaign.step_mv);
+        v = v.step_down(campaign.step_mv.max(1));
     }
     RailVminResult {
         instances: n,
@@ -203,6 +203,19 @@ mod tests {
         let result = run_multiprocess_campaign(&mut server, &campaign);
         assert_eq!(result.rail_vmin, Some(Millivolts::new(980)));
         assert!(!server.is_hung(), "recovery must leave the board up");
+    }
+
+    #[test]
+    fn a_zero_step_walks_in_millivolt_steps_to_the_floor() {
+        let w = by_name("milc").unwrap().profile();
+        let mut campaign = MultiProcessCampaign::dsn18(vec![w]);
+        campaign.start = Millivolts::new(980);
+        campaign.floor = Millivolts::new(975);
+        campaign.step_mv = 0;
+        campaign.repetitions = 2;
+        let mut server = XGene2Server::new(SigmaBin::Ttt, 95);
+        let result = run_multiprocess_campaign(&mut server, &campaign);
+        assert_eq!(result.rail_vmin, Some(Millivolts::new(975)));
     }
 
     #[test]

@@ -140,6 +140,9 @@ impl<'a> CampaignRunner<'a> {
 pub struct ResilientRunner<'a> {
     server: &'a mut XGene2Server,
     campaign: VminCampaign,
+    /// The campaign's voltage schedule, built once: the campaign never
+    /// changes under a runner.
+    schedule: Vec<Millivolts>,
     config: ResilienceConfig,
     cursor: Cursor,
     search: SearchState,
@@ -170,6 +173,7 @@ impl<'a> ResilientRunner<'a> {
         );
         ResilientRunner {
             server,
+            schedule: campaign.voltage_schedule(),
             campaign,
             config,
             cursor: Cursor::default(),
@@ -231,6 +235,7 @@ impl<'a> ResilientRunner<'a> {
         );
         ResilientRunner {
             server,
+            schedule: checkpoint.campaign.voltage_schedule(),
             campaign: checkpoint.campaign,
             config: checkpoint.config,
             cursor: checkpoint.cursor,
@@ -272,21 +277,18 @@ impl<'a> ResilientRunner<'a> {
             return false;
         }
         telemetry::time_scope!("step_wall_seconds");
-        let schedule = self.campaign.voltage_schedule();
-        if self.cursor.sched_idx >= schedule.len() {
+        let Some(&voltage) = self.schedule.get(self.cursor.sched_idx) else {
             // Empty or fully traversed schedule: the walk reached the
             // floor without a failure.
             self.finish_point(None);
             return !self.done;
-        }
-        let voltage = schedule[self.cursor.sched_idx];
+        };
         if self.campaign.repetitions == 0 {
             // Degenerate campaign: every setup is vacuously safe.
             self.search.last_safe = Some(voltage);
-            self.advance_schedule(&schedule);
+            self.advance_schedule();
             return !self.done;
         }
-        let benchmark = self.campaign.benchmarks[self.cursor.bench_idx].clone();
         let core = self.campaign.cores[self.cursor.core_idx];
         let setup = Setup {
             voltage,
@@ -294,9 +296,9 @@ impl<'a> ResilientRunner<'a> {
             core,
         };
 
-        let (outcome, reset_retries) = self.run_once(&setup, &benchmark);
+        let (outcome, reset_retries) = self.run_once(&setup);
         self.result.records.push(RunRecord {
-            benchmark: benchmark.name().to_owned(),
+            benchmark: self.benchmark().name().to_owned(),
             setup,
             repetition: self.cursor.repetition,
             outcome,
@@ -311,7 +313,7 @@ impl<'a> ResilientRunner<'a> {
             telemetry::event!(
                 Level::Info,
                 "precautionary_reset",
-                outcome = outcome.to_string(),
+                outcome = outcome.label(),
             );
             self.server.reset();
             self.result.recovery.precautionary_resets += 1;
@@ -325,7 +327,7 @@ impl<'a> ResilientRunner<'a> {
             if self.cursor.repetition >= self.campaign.repetitions {
                 self.cursor.repetition = 0;
                 self.search.last_safe = Some(voltage);
-                self.advance_schedule(&schedule);
+                self.advance_schedule();
             }
         } else if outcome == RunOutcome::Crash && self.config.crash_retries > 0 {
             let streak = self.quarantine.record_crash(setup);
@@ -333,17 +335,18 @@ impl<'a> ResilientRunner<'a> {
             if streak > self.config.crash_retries {
                 // Error level: this is the post-mortem trigger a flight
                 // recorder dumps on.
+                let benchmark = self.benchmark().name().to_owned();
                 telemetry::event!(
                     Level::Error,
                     "quarantine",
-                    benchmark = benchmark.name(),
+                    benchmark = benchmark,
                     voltage_mv = voltage.as_u32(),
                     consecutive_crashes = streak,
                 );
                 telemetry::counter!("campaign_quarantines_total");
                 self.quarantine.quarantine(setup);
                 self.result.quarantined.push(QuarantineRecord {
-                    benchmark: benchmark.name().to_owned(),
+                    benchmark,
                     setup,
                     consecutive_crashes: streak,
                     // Characterization campaigns run single-tenant: the
@@ -358,7 +361,7 @@ impl<'a> ResilientRunner<'a> {
                 telemetry::event!(
                     Level::Warn,
                     "crash_retry",
-                    benchmark = benchmark.name(),
+                    benchmark = self.benchmark().name(),
                     voltage_mv = voltage.as_u32(),
                     streak = streak,
                     retries_left = self.config.crash_retries - streak + 1,
@@ -408,7 +411,7 @@ impl<'a> ResilientRunner<'a> {
             telemetry::event!(
                 Level::Warn,
                 "campaign_breaker_trip",
-                verdict = report.verdict.to_string(),
+                verdict = report.verdict.label(),
                 pmd = pmd.index(),
             );
             self.server.reset();
@@ -417,10 +420,15 @@ impl<'a> ResilientRunner<'a> {
         }
     }
 
+    /// The benchmark under test.
+    fn benchmark(&self) -> &WorkloadProfile {
+        &self.campaign.benchmarks[self.cursor.bench_idx]
+    }
+
     /// Applies the setup (verifying the V/F writes landed), runs the
-    /// benchmark once, and recovers the board if the watchdog's own power
-    /// cycle left it hung.
-    fn run_once(&mut self, setup: &Setup, benchmark: &WorkloadProfile) -> (RunOutcome, u32) {
+    /// benchmark under test once, and recovers the board if the
+    /// watchdog's own power cycle left it hung.
+    fn run_once(&mut self, setup: &Setup) -> (RunOutcome, u32) {
         {
             let _setup_span = telemetry::span!(
                 Level::Debug,
@@ -431,6 +439,7 @@ impl<'a> ResilientRunner<'a> {
             );
             self.apply_setup(setup);
         }
+        let benchmark = &self.campaign.benchmarks[self.cursor.bench_idx];
         let _run_span = telemetry::span!(
             Level::Debug,
             "run",
@@ -442,10 +451,10 @@ impl<'a> ResilientRunner<'a> {
         telemetry::event!(
             Level::Info,
             "run_complete",
-            benchmark = benchmark.name(),
+            benchmark = self.benchmark().name(),
             voltage_mv = setup.voltage.as_u32(),
             repetition = self.cursor.repetition,
-            outcome = outcome.to_string(),
+            outcome = outcome.label(),
             reset_retries = reset_retries,
         );
         telemetry::counter!("campaign_runs_total");
@@ -493,9 +502,9 @@ impl<'a> ResilientRunner<'a> {
 
     /// Moves to the next voltage, finishing the point if the schedule is
     /// exhausted.
-    fn advance_schedule(&mut self, schedule: &[Millivolts]) {
+    fn advance_schedule(&mut self) {
         self.cursor.sched_idx += 1;
-        if self.cursor.sched_idx >= schedule.len() {
+        if self.cursor.sched_idx >= self.schedule.len() {
             self.finish_point(None);
         }
     }
@@ -503,9 +512,7 @@ impl<'a> ResilientRunner<'a> {
     /// Emits the VminResult of the current (benchmark, core) and advances
     /// to the next point, finishing the campaign after the last one.
     fn finish_point(&mut self, first_failure: Option<Millivolts>) {
-        let benchmark = self.campaign.benchmarks[self.cursor.bench_idx]
-            .name()
-            .to_owned();
+        let benchmark = self.benchmark().name().to_owned();
         let core = self.campaign.cores[self.cursor.core_idx];
         telemetry::event!(
             Level::Info,

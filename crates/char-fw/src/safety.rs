@@ -466,16 +466,22 @@ pub enum SentinelVerdict {
     Timeout,
 }
 
-impl std::fmt::Display for SentinelVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl SentinelVerdict {
+    /// The verdict's short label, as logs and telemetry fields show it.
+    pub fn label(self) -> &'static str {
+        match self {
             SentinelVerdict::Clean => "clean",
             SentinelVerdict::ChecksumMismatch => "checksum-mismatch",
             SentinelVerdict::VoteSplit => "vote-split",
             SentinelVerdict::HwError => "hw-error",
             SentinelVerdict::Timeout => "timeout",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for SentinelVerdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -71,7 +71,7 @@ pub struct VminCampaign {
     pub start: Millivolts,
     /// Search floor — the campaign never goes below this.
     pub floor: Millivolts,
-    /// Voltage decrement per step, in mV.
+    /// Voltage decrement per step, in mV (zero walks in 1 mV steps).
     pub step_mv: u32,
     /// Repeated runs per setup (the paper repeats each experiment 10×).
     pub repetitions: u32,
@@ -95,13 +95,14 @@ impl VminCampaign {
         }
     }
 
-    /// The descending voltage schedule of this campaign.
+    /// The descending voltage schedule of this campaign. A zero
+    /// `step_mv` walks in 1 mV steps, as warm-started walks read it.
     pub fn voltage_schedule(&self) -> Vec<Millivolts> {
         let mut schedule = Vec::new();
         let mut v = self.start;
         while v >= self.floor && v.as_u32() > 0 {
             schedule.push(v);
-            v = v.step_down(self.step_mv);
+            v = v.step_down(self.step_mv.max(1));
         }
         schedule
     }
@@ -121,6 +122,18 @@ mod tests {
         for w in schedule.windows(2) {
             assert_eq!(w[0].as_u32() - w[1].as_u32(), 5);
         }
+    }
+
+    #[test]
+    fn a_zero_step_walks_in_millivolt_steps() {
+        let campaign = VminCampaign {
+            start: Millivolts::new(980),
+            floor: Millivolts::new(970),
+            step_mv: 0,
+            ..VminCampaign::dsn18(vec![], vec![])
+        };
+        let expected: Vec<Millivolts> = (970..=980).rev().map(Millivolts::new).collect();
+        assert_eq!(campaign.voltage_schedule(), expected);
     }
 
     #[test]

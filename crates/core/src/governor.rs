@@ -297,7 +297,7 @@ impl OnlineGovernor {
                     Level::Warn,
                     "margin_widen",
                     reason = "disruption",
-                    outcome = outcome.to_string(),
+                    outcome = outcome.label(),
                     from_mv = self.dynamic_margin_mv,
                     to_mv = self.dynamic_margin_mv + self.config.disruption_backoff_mv,
                 );

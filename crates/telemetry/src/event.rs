@@ -6,11 +6,16 @@
 //! JSONL sink and flight-recorder dumps) and compare with `==` (for the
 //! capture sink used by tests).
 //!
+//! A sink does not receive an `Event` but a borrowed [`Record`]: the
+//! macros build each field as a [`Value`] that borrows the caller's data,
+//! in a slice on the caller's stack, so dispatching copies nothing. Only
+//! a sink that keeps a record turns it into an `Event`.
+//!
 //! Event text that is fixed at the call site — the target module, the
-//! event and span names, the field keys — is `Cow<'static, str>`: the
-//! dispatcher borrows the `'static` literals the macros pass, so
-//! emitting an event copies no text. Decoded events own their text;
-//! both forms serialize identically and compare equal.
+//! event and span names, the field keys — is `Cow<'static, str>`: a kept
+//! record borrows the `'static` literals the macros pass, so it copies
+//! no text but its field values. Decoded events own their text; both
+//! forms serialize identically and compare equal.
 //!
 //! Determinism: an event's identity is its monotonically increasing
 //! sequence number within the installed telemetry context, assigned in
@@ -86,67 +91,91 @@ impl fmt::Display for FieldValue {
     }
 }
 
-macro_rules! from_unsigned {
+// Owned values for events built by hand (`StreamBuilder::push` callers).
+macro_rules! from_scalar {
     ($($t:ty),*) => {$(
         impl From<$t> for FieldValue {
             fn from(v: $t) -> Self {
-                FieldValue::U64(u64::from(v))
+                v.as_value().into()
             }
         }
     )*};
 }
-from_unsigned!(u8, u16, u32, u64);
+from_scalar!(u32, u64, bool, f64, &str);
 
-macro_rules! from_signed {
-    ($($t:ty),*) => {$(
-        impl From<$t> for FieldValue {
-            fn from(v: $t) -> Self {
-                FieldValue::I64(i64::from(v))
+impl From<Value<'_>> for FieldValue {
+    fn from(v: Value<'_>) -> Self {
+        match v {
+            Value::Bool(v) => FieldValue::Bool(v),
+            Value::U64(v) => FieldValue::U64(v),
+            Value::I64(v) => FieldValue::I64(v),
+            Value::F64(v) => FieldValue::F64(v),
+            Value::Str(v) => FieldValue::Str(v.to_owned()),
+        }
+    }
+}
+
+/// A borrowed field value: what `event!`/`span!` hand the dispatcher.
+///
+/// Text borrows the caller's string for the duration of the dispatch, so
+/// building a field allocates nothing; a sink that keeps the value turns
+/// it into a [`FieldValue`] with `From`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
+    /// Boolean flag.
+    Bool(bool),
+    /// Unsigned integer.
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Floating point.
+    F64(f64),
+    /// Borrowed text.
+    Str(&'a str),
+}
+
+/// Conversion of a field expression into a borrowed [`Value`]; the
+/// macros call it on a reference to each field value.
+pub trait AsValue {
+    /// The value, borrowing any text from `self`.
+    fn as_value(&self) -> Value<'_>;
+}
+
+macro_rules! as_value {
+    ($variant:ident: $($t:ty),*) => {$(
+        impl AsValue for $t {
+            fn as_value(&self) -> Value<'_> {
+                Value::$variant((*self).into())
             }
         }
     )*};
 }
-from_signed!(i8, i16, i32, i64);
+as_value!(U64: u8, u16, u32, u64);
+as_value!(I64: i8, i16, i32, i64);
+as_value!(F64: f32, f64);
+as_value!(Bool: bool);
 
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
+impl AsValue for usize {
+    fn as_value(&self) -> Value<'_> {
+        Value::U64(*self as u64)
     }
 }
 
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
+impl AsValue for str {
+    fn as_value(&self) -> Value<'_> {
+        Value::Str(self)
     }
 }
 
-impl From<f32> for FieldValue {
-    fn from(v: f32) -> Self {
-        FieldValue::F64(f64::from(v))
+impl AsValue for String {
+    fn as_value(&self) -> Value<'_> {
+        Value::Str(self)
     }
 }
 
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_owned())
-    }
-}
-
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
-impl From<&String> for FieldValue {
-    fn from(v: &String) -> Self {
-        FieldValue::Str(v.clone())
+impl<T: AsValue + ?Sized> AsValue for &T {
+    fn as_value(&self) -> Value<'_> {
+        (**self).as_value()
     }
 }
 
@@ -213,6 +242,51 @@ impl Event {
     }
 }
 
+/// A dispatched record, borrowed from the dispatcher for the duration of
+/// one [`Sink::record`](crate::Sink::record) call.
+///
+/// It carries what an [`Event`] carries, but borrows everything: the
+/// `'static` target, name, span names and keys of the call site, and the
+/// caller's field values. A sink that keeps the record calls
+/// [`Self::to_event`]; one that only inspects it copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Record<'a> {
+    /// Monotonic sequence number within the telemetry context.
+    pub seq: u64,
+    /// Record kind.
+    pub kind: EventKind,
+    /// Severity.
+    pub level: Level,
+    /// Module path of the emitting code.
+    pub target: &'static str,
+    /// Event name (or span name for enter/exit records).
+    pub name: &'static str,
+    /// Names of the enclosing spans, outermost first (the path *around*
+    /// a span for its enter/exit records).
+    pub span_path: &'a [&'static str],
+    /// Typed key/value payload, in emission order.
+    pub fields: &'a [(&'static str, Value<'a>)],
+}
+
+impl Record<'_> {
+    /// The owned [`Event`] this record stands for.
+    pub fn to_event(&self) -> Event {
+        Event {
+            seq: self.seq,
+            kind: self.kind,
+            level: self.level,
+            target: Cow::Borrowed(self.target),
+            name: Cow::Borrowed(self.name),
+            span_path: self.span_path.iter().map(|&s| Cow::Borrowed(s)).collect(),
+            fields: self
+                .fields
+                .iter()
+                .map(|&(k, v)| (Cow::Borrowed(k), v.into()))
+                .collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,12 +301,44 @@ mod tests {
 
     #[test]
     fn field_values_convert_from_primitives() {
-        assert_eq!(FieldValue::from(7u32), FieldValue::U64(7));
-        assert_eq!(FieldValue::from(-3i32), FieldValue::I64(-3));
-        assert_eq!(FieldValue::from(1.5f64), FieldValue::F64(1.5));
-        assert_eq!(FieldValue::from(true), FieldValue::Bool(true));
-        assert_eq!(FieldValue::from("x"), FieldValue::Str("x".into()));
-        assert_eq!(FieldValue::from(9usize), FieldValue::U64(9));
+        let owned = |v: &dyn AsValue| FieldValue::from(v.as_value());
+        assert_eq!(owned(&7u32), FieldValue::U64(7));
+        assert_eq!(owned(&-3i32), FieldValue::I64(-3));
+        assert_eq!(owned(&1.5f64), FieldValue::F64(1.5));
+        assert_eq!(owned(&true), FieldValue::Bool(true));
+        assert_eq!(owned(&"x"), FieldValue::Str("x".into()));
+        assert_eq!(owned(&String::from("y")), FieldValue::Str("y".into()));
+        assert_eq!(owned(&9usize), FieldValue::U64(9));
+    }
+
+    #[test]
+    fn a_record_becomes_the_event_it_borrows() {
+        let label = String::from("milc");
+        let record = Record {
+            seq: 5,
+            kind: EventKind::SpanEnter,
+            level: Level::Debug,
+            target: "char_fw::runner",
+            name: "run",
+            span_path: &["fleet", "campaign"],
+            fields: &[
+                ("benchmark", label.as_value()),
+                ("repetition", 3u32.as_value()),
+            ],
+        };
+        let event = Event {
+            seq: 5,
+            kind: EventKind::SpanEnter,
+            level: Level::Debug,
+            target: "char_fw::runner".into(),
+            name: "run".into(),
+            span_path: vec!["fleet".into(), "campaign".into()],
+            fields: vec![
+                ("benchmark".into(), FieldValue::Str("milc".into())),
+                ("repetition".into(), FieldValue::U64(3)),
+            ],
+        };
+        assert_eq!(record.to_event(), event);
     }
 
     #[test]

@@ -16,13 +16,15 @@
 //! With no context installed, the macros cost one thread-local read and
 //! a branch — no field construction, no allocation, no clock reads.
 //!
-//! With a context installed, an event copies none of its text: target,
-//! name, span path and field keys borrow the `'static` literals of the
-//! call site, so what a dispatched event allocates is its `span_path`
-//! and `fields` vectors (plus any `String` field values). Sinks keep
-//! that cost low too: the flight recorder overwrites its oldest slot in
-//! place once the ring is full, and registry updates on an existing
-//! series allocate nothing.
+//! With a context installed, dispatching allocates nothing: the macros
+//! build the fields as a slice of borrowed [`Value`]s on the caller's
+//! stack, the dispatcher copies the span path into a stack buffer (a
+//! `Vec` only past eight names), and every sink receives one borrowed
+//! [`Record`] whose target, name, span names and keys are the `'static`
+//! literals of the call site. Only a sink that keeps a record pays for an
+//! owned [`Event`]. The flight recorder keeps plain slots that it
+//! overwrites in place and turns into `Event`s only when it dumps, and
+//! registry updates on an existing series allocate nothing.
 //!
 //! # Determinism
 //!
@@ -59,12 +61,11 @@ pub mod profile;
 pub mod recorder;
 pub mod sink;
 
-pub use event::{Event, EventKind, FieldValue, Level};
+pub use event::{AsValue, Event, EventKind, FieldValue, Level, Record, Value};
 pub use metrics::{series_name, MetricsSnapshot, Registry};
 pub use recorder::{FlightDump, FlightRecorder};
 pub use sink::{CaptureSink, JsonlSink, PrettySink, Sink};
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -219,53 +220,77 @@ pub fn flush() {
     }
 }
 
-/// Assembles an event in the installed context and fans it out to the
+/// Span depth a dispatch copies without allocating.
+const INLINE_DEPTH: usize = 8;
+
+/// Stamps a record in the installed context and hands it to every sink
+/// that wants its level; returns whether it did. `edit` first has its say
+/// over the span stack, and declining stops the dispatch.
+///
+/// The sequence number, a copy of the span path (into a stack buffer)
+/// and the sinks are taken under the context borrow, which is released
+/// before any sink runs: a sink may emit events of its own, and they take
+/// the following sequence numbers. The buffer lives in this frame because
+/// returning it from the context closure cost ~60 ns a record in
+/// `memcpy` calls.
+fn dispatch(
+    kind: EventKind,
+    level: Level,
+    target: &'static str,
+    name: &'static str,
+    fields: &[(&'static str, Value<'_>)],
+    edit: impl FnOnce(&mut Vec<&'static str>) -> bool,
+) -> bool {
+    let mut inline = [""; INLINE_DEPTH];
+    let mut spilled = Vec::new();
+    let stamped = CONTEXT.with(|c| {
+        let mut borrow = c.borrow_mut();
+        let ctx = borrow.as_mut()?;
+        if !edit(&mut ctx.span_stack) || level < ctx.min_level {
+            return None;
+        }
+        let seq = ctx.seq;
+        ctx.seq += 1;
+        let stack = &ctx.span_stack;
+        if stack.len() <= INLINE_DEPTH {
+            for (slot, &span) in inline.iter_mut().zip(stack) {
+                *slot = span;
+            }
+        } else {
+            spilled.extend_from_slice(stack);
+        }
+        Some((seq, stack.len(), Rc::clone(&ctx.sinks)))
+    });
+    let Some((seq, depth, sinks)) = stamped else {
+        return false;
+    };
+    let record = Record {
+        seq,
+        kind,
+        level,
+        target,
+        name,
+        span_path: inline.get(..depth).unwrap_or(&spilled),
+        fields,
+    };
+    for sink in sinks.iter() {
+        if level >= sink.min_level() {
+            sink.record(&record);
+        }
+    }
+    true
+}
+
+/// Stamps an event in the installed context and fans it out to the
 /// sinks. Prefer the [`event!`] macro, which adds the `enabled` fast
 /// path and captures `module_path!()` for you.
 pub fn dispatch_event(
     level: Level,
     target: &'static str,
     name: &'static str,
-    fields: Vec<(Cow<'static, str>, FieldValue)>,
+    fields: &[(&'static str, Value<'_>)],
 ) {
-    dispatch(EventKind::Event, level, target, name, fields);
-}
-
-fn dispatch(
-    kind: EventKind,
-    level: Level,
-    target: &'static str,
-    name: &'static str,
-    fields: Vec<(Cow<'static, str>, FieldValue)>,
-) {
-    // Assemble under the borrow, then release it before calling sinks so
-    // a sink that itself consults telemetry cannot double-borrow.
-    let assembled = CONTEXT.with(|c| {
-        let mut borrow = c.borrow_mut();
-        let ctx = borrow.as_mut()?;
-        if level < ctx.min_level {
-            return None;
-        }
-        let seq = ctx.seq;
-        ctx.seq += 1;
-        let event = Event {
-            seq,
-            kind,
-            level,
-            target: Cow::Borrowed(target),
-            name: Cow::Borrowed(name),
-            span_path: ctx.span_stack.iter().map(|&s| Cow::Borrowed(s)).collect(),
-            fields,
-        };
-        Some((event, Rc::clone(&ctx.sinks)))
-    });
-    if let Some((event, sinks)) = assembled {
-        for sink in sinks.iter() {
-            if event.level >= sink.min_level() {
-                sink.record(&event);
-            }
-        }
-    }
+    dispatch(EventKind::Event, level, target, name, fields, |_| true);
 }
 
 /// RAII handle for an entered span; exits (and emits the `SpanExit`
@@ -278,22 +303,30 @@ pub struct SpanGuard {
     level: Level,
 }
 
+impl SpanGuard {
+    /// A guard for a span that was never entered: dropping it does
+    /// nothing. The [`span!`] macro returns it when the level is
+    /// disabled.
+    pub fn disabled() -> Self {
+        SpanGuard {
+            name: None,
+            target: "",
+            level: Level::Trace,
+        }
+    }
+}
+
 /// Enters a span: emits a `SpanEnter` record and pushes `name` onto the
 /// thread's span stack. Prefer the [`span!`] macro.
 pub fn enter_span(
     level: Level,
     target: &'static str,
     name: &'static str,
-    fields: Vec<(Cow<'static, str>, FieldValue)>,
+    fields: &[(&'static str, Value<'_>)],
 ) -> SpanGuard {
-    if !enabled(level) {
-        return SpanGuard {
-            name: None,
-            target,
-            level,
-        };
+    if !dispatch(EventKind::SpanEnter, level, target, name, fields, |_| true) {
+        return SpanGuard::disabled();
     }
-    dispatch(EventKind::SpanEnter, level, target, name, fields);
     CONTEXT.with(|c| {
         if let Some(ctx) = c.borrow_mut().as_mut() {
             ctx.span_stack.push(name);
@@ -313,36 +346,26 @@ impl Drop for SpanGuard {
         };
         // Pop only if this span is still the innermost one — if the
         // context was swapped out underneath us, do nothing.
-        let popped = CONTEXT.with(|c| {
-            let mut borrow = c.borrow_mut();
-            let Some(ctx) = borrow.as_mut() else {
-                return false;
-            };
-            if ctx.span_stack.last() == Some(&name) {
-                ctx.span_stack.pop();
-                true
-            } else {
-                false
+        let pop = |stack: &mut Vec<&'static str>| {
+            let innermost = stack.last() == Some(&name);
+            if innermost {
+                stack.pop();
             }
-        });
-        if popped {
-            dispatch(
-                EventKind::SpanExit,
-                self.level,
-                self.target,
-                name,
-                Vec::new(),
-            );
-        }
+            innermost
+        };
+        dispatch(EventKind::SpanExit, self.level, self.target, name, &[], pop);
     }
 }
 
 /// Emits a structured event: `event!(Level::Warn, "retry", attempt = 2)`.
 ///
 /// The name is a `&'static str` (in practice a literal); keys are bare
-/// identifiers; values are anything with `Into<FieldValue>` (integers,
-/// floats, bools, strings). With no installed context this costs one
-/// thread-local read — the field expressions are not evaluated.
+/// identifiers; values are anything that implements [`AsValue`]
+/// (integers, floats, bools, strings). Each value is borrowed into a
+/// slice on the stack, so a temporary such as `n.to_string()` lives to
+/// the end of the statement. With no installed context, or below the
+/// context's level, this costs one thread-local read — the field
+/// expressions are not evaluated.
 #[macro_export]
 macro_rules! event {
     ($level:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
@@ -351,10 +374,7 @@ macro_rules! event {
                 $level,
                 module_path!(),
                 $name,
-                ::std::vec![$((
-                    ::std::borrow::Cow::Borrowed(stringify!($key)),
-                    $crate::FieldValue::from($value),
-                )),*],
+                &[$((stringify!($key), $crate::AsValue::as_value(&$value))),*],
             );
         }
     };
@@ -365,23 +385,21 @@ macro_rules! event {
 ///
 /// Events emitted while the guard lives carry the span's name (a
 /// `&'static str`) in their `span_path`. Bind the guard to a name (`_g`,
-/// not `_`) or it exits immediately.
+/// not `_`) or it exits immediately. Fields are passed as in [`event!`],
+/// and evaluated only when the level is enabled.
 #[macro_export]
 macro_rules! span {
     ($level:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::enter_span(
-            $level,
-            module_path!(),
-            $name,
-            if $crate::enabled($level) {
-                ::std::vec![$((
-                    ::std::borrow::Cow::Borrowed(stringify!($key)),
-                    $crate::FieldValue::from($value),
-                )),*]
-            } else {
-                ::std::vec::Vec::new()
-            },
-        )
+        if $crate::enabled($level) {
+            $crate::enter_span(
+                $level,
+                module_path!(),
+                $name,
+                &[$((stringify!($key), $crate::AsValue::as_value(&$value))),*],
+            )
+        } else {
+            $crate::SpanGuard::disabled()
+        }
     };
 }
 
@@ -491,6 +509,68 @@ mod tests {
         // Exit records carry the path *around* the span.
         assert_eq!(events[3].span_path, vec!["campaign".to_owned()]);
         assert!(events[5].span_path.is_empty());
+    }
+
+    /// Emits one nested event from inside `record` when it sees `outer`.
+    struct Echo;
+
+    impl Sink for Echo {
+        fn record(&self, record: &Record<'_>) {
+            if record.name == "outer" {
+                event!(Level::Info, "nested", of = record.seq);
+            }
+        }
+    }
+
+    #[test]
+    fn a_sink_may_emit_an_event_from_inside_record() {
+        let before = Rc::new(CaptureSink::new());
+        let after = Rc::new(CaptureSink::new());
+        let _guard = Telemetry::new()
+            .with_shared_sink(before.clone())
+            .with_sink(Echo)
+            .with_shared_sink(after.clone())
+            .install();
+        {
+            let _campaign = span!(Level::Info, "campaign");
+            event!(Level::Info, "outer", n = 1u32);
+        }
+        event!(Level::Info, "next");
+        let seen = |sink: &CaptureSink| -> Vec<(String, u64)> {
+            sink.events()
+                .iter()
+                .map(|e| (e.name.to_string(), e.seq))
+                .collect()
+        };
+        let expected = |names: [(&str, u64); 5]| -> Vec<(String, u64)> {
+            names.iter().map(|&(n, s)| (n.to_owned(), s)).collect()
+        };
+        // The nested event takes the next sequence number. A sink before
+        // the emitter sees it after `outer`; one after the emitter sees it
+        // first, because the nested dispatch completes inside `outer`'s.
+        assert_eq!(
+            seen(&before),
+            expected([
+                ("campaign", 0),
+                ("outer", 1),
+                ("nested", 2),
+                ("campaign", 3),
+                ("next", 4)
+            ])
+        );
+        assert_eq!(
+            seen(&after),
+            expected([
+                ("campaign", 0),
+                ("nested", 2),
+                ("outer", 1),
+                ("campaign", 3),
+                ("next", 4)
+            ])
+        );
+        let nested = &after.named("nested")[0];
+        assert_eq!(nested.field("of"), Some(&FieldValue::U64(1)));
+        assert_eq!(nested.span_path, vec!["campaign".to_owned()]);
     }
 
     #[test]

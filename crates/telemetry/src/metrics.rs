@@ -595,9 +595,16 @@ impl Registry {
     /// Records one observation; auto-creates the histogram with
     /// [`SIM_MS_BUCKETS`] if it was never declared.
     pub fn observe(&self, name: &str, value: f64) {
+        self.observe_or_declare(name, &SIM_MS_BUCKETS, value);
+    }
+
+    /// Records one observation, creating the histogram with `bounds`
+    /// if it does not exist yet: [`Self::register_histogram`] and
+    /// [`Self::observe`] in one lookup.
+    pub(crate) fn observe_or_declare(&self, name: &str, bounds: &[f64], value: f64) {
         let (family, sig) = split_series(name);
         let histograms = &mut self.inner.borrow_mut().histograms;
-        let init = || Histogram::new(&SIM_MS_BUCKETS);
+        let init = || Histogram::new(bounds);
         upsert(histograms, family, sig, init, |h| h.observe(value));
     }
 

@@ -35,8 +35,7 @@ impl Drop for WallTimer {
         if let Some(start) = self.start {
             let secs = start.elapsed().as_secs_f64();
             let _ = crate::with_registry(|reg| {
-                reg.register_histogram(self.name, &WALL_SECONDS_BUCKETS);
-                reg.observe(self.name, secs);
+                reg.observe_or_declare(self.name, &WALL_SECONDS_BUCKETS, secs);
             });
         }
     }

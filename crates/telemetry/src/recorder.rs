@@ -10,16 +10,20 @@
 //! [`FlightDump`]. Dumps are deterministic: events appear in emission
 //! (sequence) order, and nothing in them depends on wall time.
 //!
-//! Once the ring is full, each new event overwrites the evicted slot in
-//! place, reusing its vectors and owned strings: recording allocates
-//! only where the slot is too small for the new event, and for the text
-//! of `FieldValue::Str` fields.
+//! The ring holds plain slots, not [`Event`]s. A slot keeps a record's
+//! sequence number, kind and level, its `'static` target, name, span
+//! names and keys, and its field values as scalars or as byte ranges into
+//! a text buffer the slot owns. An index wraps around the slots, and a
+//! new record overwrites the oldest slot in place, reusing its vectors
+//! and text buffer: once every slot has held a record as wide as the new
+//! one, recording allocates nothing. `Event`s are built only when a dump
+//! is taken, oldest first.
 
-use crate::event::{Event, Level};
+use crate::event::{Event, EventKind, FieldValue, Level, Record, Value};
 use crate::sink::Sink;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// One post-mortem snapshot taken by the [`FlightRecorder`].
@@ -55,10 +59,118 @@ impl FlightDump {
     }
 }
 
+/// A field value as a slot keeps it.
+#[derive(Debug, Clone, Copy)]
+enum SlotValue {
+    Bool(bool),
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    /// The value's byte range in the slot's `text`.
+    Str(usize, usize),
+}
+
+/// One retained record in plain form.
+#[derive(Debug)]
+struct Slot {
+    seq: u64,
+    kind: EventKind,
+    level: Level,
+    target: &'static str,
+    name: &'static str,
+    span_path: Vec<&'static str>,
+    fields: Vec<(&'static str, SlotValue)>,
+    /// The text of every `Str` field, back to back.
+    text: String,
+}
+
+impl Slot {
+    fn new(record: &Record<'_>) -> Self {
+        let mut slot = Slot {
+            seq: 0,
+            kind: record.kind,
+            level: record.level,
+            target: record.target,
+            name: record.name,
+            span_path: Vec::new(),
+            fields: Vec::new(),
+            text: String::new(),
+        };
+        slot.overwrite(record);
+        slot
+    }
+
+    /// Copies `record` into this slot, reusing its vectors and text.
+    fn overwrite(&mut self, record: &Record<'_>) {
+        self.seq = record.seq;
+        self.kind = record.kind;
+        self.level = record.level;
+        self.target = record.target;
+        self.name = record.name;
+        self.span_path.clear();
+        self.span_path.extend_from_slice(record.span_path);
+        self.fields.clear();
+        self.text.clear();
+        for &(key, value) in record.fields {
+            let value = match value {
+                Value::Bool(v) => SlotValue::Bool(v),
+                Value::U64(v) => SlotValue::U64(v),
+                Value::I64(v) => SlotValue::I64(v),
+                Value::F64(v) => SlotValue::F64(v),
+                Value::Str(text) => {
+                    let start = self.text.len();
+                    self.text.push_str(text);
+                    SlotValue::Str(start, self.text.len())
+                }
+            };
+            self.fields.push((key, value));
+        }
+    }
+
+    /// The event this slot retains.
+    fn to_event(&self) -> Event {
+        Event {
+            seq: self.seq,
+            kind: self.kind,
+            level: self.level,
+            target: Cow::Borrowed(self.target),
+            name: Cow::Borrowed(self.name),
+            span_path: self.span_path.iter().map(|&s| Cow::Borrowed(s)).collect(),
+            fields: self
+                .fields
+                .iter()
+                .map(|&(key, value)| {
+                    let value = match value {
+                        SlotValue::Bool(v) => FieldValue::Bool(v),
+                        SlotValue::U64(v) => FieldValue::U64(v),
+                        SlotValue::I64(v) => FieldValue::I64(v),
+                        SlotValue::F64(v) => FieldValue::F64(v),
+                        SlotValue::Str(start, end) => {
+                            FieldValue::Str(self.text[start..end].to_owned())
+                        }
+                    };
+                    (Cow::Borrowed(key), value)
+                })
+                .collect(),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RecorderInner {
-    buf: VecDeque<Event>,
+    /// At most `capacity` slots; once full, `oldest` is the next one to
+    /// overwrite.
+    slots: Vec<Slot>,
+    oldest: usize,
     dumps: Vec<FlightDump>,
+}
+
+impl RecorderInner {
+    /// The retained events, oldest first.
+    fn events(&self) -> Vec<Event> {
+        let (newer, older) = self.slots.split_at(self.oldest);
+        older.iter().chain(newer).map(Slot::to_event).collect()
+    }
 }
 
 /// The bounded ring-buffer recorder; install it as a sink.
@@ -97,7 +209,8 @@ impl FlightRecorder {
             max_dumps: 8,
             min_level: Level::Trace,
             inner: RefCell::new(RecorderInner {
-                buf: VecDeque::with_capacity(capacity),
+                slots: Vec::with_capacity(capacity),
+                oldest: 0,
                 dumps: Vec::new(),
             }),
         }
@@ -158,7 +271,7 @@ impl FlightRecorder {
 
     /// Number of events currently retained in the ring.
     pub fn retained(&self) -> usize {
-        self.inner.borrow().buf.len()
+        self.inner.borrow().slots.len()
     }
 }
 
@@ -168,41 +281,23 @@ impl Default for FlightRecorder {
     }
 }
 
-/// Overwrites `slot` with a copy of `event`, reusing the slot's vectors
-/// and owned strings.
-fn overwrite(slot: &mut Event, event: &Event) {
-    slot.seq = event.seq;
-    slot.kind = event.kind;
-    slot.level = event.level;
-    slot.target.clone_from(&event.target);
-    slot.name.clone_from(&event.name);
-    slot.span_path.clone_from(&event.span_path);
-    slot.fields.truncate(event.fields.len());
-    let reused = slot.fields.len();
-    for ((key, value), (src_key, src_value)) in slot.fields.iter_mut().zip(&event.fields) {
-        key.clone_from(src_key);
-        value.clone_from(src_value);
-    }
-    slot.fields.extend_from_slice(&event.fields[reused..]);
-}
-
 impl Sink for FlightRecorder {
-    fn record(&self, event: &Event) {
+    fn record(&self, record: &Record<'_>) {
         let mut inner = self.inner.borrow_mut();
-        if inner.buf.len() == self.capacity {
-            let mut slot = inner.buf.pop_front().expect("a full ring is non-empty");
-            overwrite(&mut slot, event);
-            inner.buf.push_back(slot);
+        if inner.slots.len() < self.capacity {
+            inner.slots.push(Slot::new(record));
         } else {
-            inner.buf.push_back(event.clone());
+            let oldest = inner.oldest;
+            inner.slots[oldest].overwrite(record);
+            inner.oldest = (oldest + 1) % self.capacity;
         }
-        let triggered = event.level >= self.trigger_level
-            || self.trigger_names.iter().any(|n| *n == event.name);
+        let triggered = record.level >= self.trigger_level
+            || self.trigger_names.iter().any(|n| n == record.name);
         if triggered && inner.dumps.len() < self.max_dumps {
-            let events: Vec<Event> = inner.buf.iter().cloned().collect();
+            let events = inner.events();
             inner.dumps.push(FlightDump {
-                trigger_seq: event.seq,
-                trigger_name: event.name.to_string(),
+                trigger_seq: record.seq,
+                trigger_name: record.name.to_owned(),
                 events,
             });
         }
@@ -216,28 +311,28 @@ impl Sink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, FieldValue};
 
-    fn ev(seq: u64, level: Level, name: &'static str) -> Event {
-        Event {
+    /// Records one event named `name` whose single field is its `seq`.
+    fn record(rec: &FlightRecorder, seq: u64, level: Level, name: &'static str) {
+        rec.record(&Record {
             seq,
             kind: EventKind::Event,
             level,
-            target: "t".into(),
-            name: name.into(),
-            span_path: vec![],
-            fields: vec![("seq".into(), FieldValue::U64(seq))],
-        }
+            target: "t",
+            name,
+            span_path: &[],
+            fields: &[("seq", Value::U64(seq))],
+        });
     }
 
     #[test]
     fn ring_keeps_only_the_last_capacity_events() {
         let rec = FlightRecorder::with_capacity(4);
         for i in 0..10 {
-            rec.record(&ev(i, Level::Info, "e"));
+            record(&rec, i, Level::Info, "e");
         }
         assert_eq!(rec.retained(), 4);
-        rec.record(&ev(10, Level::Error, "boom"));
+        record(&rec, 10, Level::Error, "boom");
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 1);
         let seqs: Vec<u64> = dumps[0].events.iter().map(|e| e.seq).collect();
@@ -247,10 +342,10 @@ mod tests {
     #[test]
     fn dump_triggers_on_level_and_on_name() {
         let rec = FlightRecorder::with_capacity(8).with_trigger_name("quarantine");
-        rec.record(&ev(0, Level::Warn, "retry"));
+        record(&rec, 0, Level::Warn, "retry");
         assert!(rec.dumps().is_empty());
-        rec.record(&ev(1, Level::Info, "quarantine"));
-        rec.record(&ev(2, Level::Error, "escalated"));
+        record(&rec, 1, Level::Info, "quarantine");
+        record(&rec, 2, Level::Error, "escalated");
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 2);
         assert_eq!(dumps[0].trigger_name, "quarantine");
@@ -262,7 +357,7 @@ mod tests {
     fn max_dumps_bounds_memory() {
         let rec = FlightRecorder::with_capacity(4).with_max_dumps(2);
         for i in 0..5 {
-            rec.record(&ev(i, Level::Error, "boom"));
+            record(&rec, i, Level::Error, "boom");
         }
         assert_eq!(rec.dumps().len(), 2);
         assert_eq!(rec.take_dumps().len(), 2);
@@ -272,30 +367,67 @@ mod tests {
     #[test]
     fn overwritten_slots_equal_the_events_they_copy() {
         let rec = FlightRecorder::with_capacity(2);
-        let mut wide = ev(0, Level::Info, "wide");
-        wide.span_path = vec!["campaign".into(), "setup".into()];
-        wide.fields
-            .push(("label".into(), FieldValue::Str("milc".into())));
-        let mut owned = ev(1, Level::Info, "owned");
-        owned.target = String::from("decoded::target").into();
-        owned.fields = vec![(String::from("key").into(), FieldValue::Bool(true))];
-        let narrow = ev(2, Level::Info, "narrow");
-        let mut trigger = ev(3, Level::Error, "boom");
-        trigger.span_path = vec!["campaign".into()];
-        trigger.fields.clear();
-        for e in [&wide, &owned, &narrow, &trigger] {
-            rec.record(e);
+        let wide = Record {
+            seq: 0,
+            kind: EventKind::SpanEnter,
+            level: Level::Info,
+            target: "t",
+            name: "wide",
+            span_path: &["campaign", "setup"],
+            fields: &[
+                ("seq", Value::U64(0)),
+                ("label", Value::Str("milc-at-830mV")),
+            ],
+        };
+        let other = Record {
+            seq: 1,
+            target: "other::target",
+            name: "other",
+            span_path: &[],
+            fields: &[("key", Value::Bool(true)), ("text", Value::Str("a"))],
+            ..wide
+        };
+        let narrow = Record {
+            seq: 2,
+            kind: EventKind::Event,
+            name: "narrow",
+            span_path: &[],
+            fields: &[
+                ("label", Value::Str("mcf")),
+                ("ewma", Value::F64(-0.5)),
+                ("margin_mv", Value::I64(-3)),
+            ],
+            ..wide
+        };
+        let trigger = Record {
+            seq: 3,
+            kind: EventKind::Event,
+            level: Level::Error,
+            name: "boom",
+            span_path: &["campaign"],
+            fields: &[],
+            ..wide
+        };
+        for r in [&wide, &other, &narrow, &trigger] {
+            rec.record(r);
         }
-        // Slot 0 held `wide`, then `narrow`; slot 1 held `owned`, then
-        // the trigger: each overwrite changed the shape of the event.
-        assert_eq!(rec.dumps()[0].events, vec![narrow, trigger]);
+        // Slot 0 held `wide`, then `narrow`; slot 1 held `other`, then
+        // the trigger: each overwrite changed the shape of the record.
+        assert_eq!(
+            rec.dumps()[0].events,
+            vec![narrow.to_event(), trigger.to_event()]
+        );
+        assert_eq!(
+            rec.dumps()[0].events[0].field("label"),
+            Some(&FieldValue::Str("mcf".into()))
+        );
     }
 
     #[test]
     fn render_contains_trigger_and_events() {
         let rec = FlightRecorder::with_capacity(4);
-        rec.record(&ev(0, Level::Info, "before"));
-        rec.record(&ev(1, Level::Error, "boom"));
+        record(&rec, 0, Level::Info, "before");
+        record(&rec, 1, Level::Error, "boom");
         let dump = &rec.dumps()[0];
         let text = dump.render();
         assert!(text.contains("`boom` at seq 1"), "{text}");

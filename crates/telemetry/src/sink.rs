@@ -1,20 +1,23 @@
 //! Pluggable event sinks: pretty-printing, JSONL and test capture.
 //!
-//! A [`Sink`] receives every dispatched [`Event`] at or above its
-//! [`Sink::min_level`]. Sinks take `&self` and use interior mutability so
-//! they can be shared as `Rc<dyn Sink>` between the dispatcher and the
-//! code that later inspects them (tests reading a [`CaptureSink`], a
-//! post-mortem reading a flight recorder).
+//! A [`Sink`] receives every dispatched [`Record`] at or above its
+//! [`Sink::min_level`]. The record is borrowed: a sink that keeps it
+//! builds the owned [`Event`] ([`Record::to_event`]), so only kept
+//! records pay for a copy. Sinks take `&self` and use interior
+//! mutability so they can be shared as `Rc<dyn Sink>` between the
+//! dispatcher and the code that later inspects them (tests reading a
+//! [`CaptureSink`], a post-mortem reading a flight recorder).
 
-use crate::event::{Event, Level};
+use crate::event::{Event, Level, Record};
 use std::cell::RefCell;
 use std::io::Write;
 
 /// A destination for dispatched events.
 pub trait Sink {
-    /// Receives one event (already filtered by the dispatcher against
-    /// [`Self::min_level`]).
-    fn record(&self, event: &Event);
+    /// Receives one record (already filtered by the dispatcher against
+    /// [`Self::min_level`]). The dispatcher holds no telemetry state
+    /// while it calls this, so a sink may emit events of its own.
+    fn record(&self, record: &Record<'_>);
 
     /// The least severe level this sink wants to see.
     fn min_level(&self) -> Level {
@@ -70,10 +73,10 @@ impl<W: Write> std::fmt::Debug for PrettySink<W> {
 }
 
 impl<W: Write> Sink for PrettySink<W> {
-    fn record(&self, event: &Event) {
+    fn record(&self, record: &Record<'_>) {
         // A full stderr (or broken pipe) must never take the simulation
         // down; drop the line instead.
-        let _ = writeln!(self.writer.borrow_mut(), "{}", event.render());
+        let _ = writeln!(self.writer.borrow_mut(), "{}", record.to_event().render());
     }
 
     fn min_level(&self) -> Level {
@@ -130,8 +133,8 @@ impl<W: Write> std::fmt::Debug for JsonlSink<W> {
 }
 
 impl<W: Write> Sink for JsonlSink<W> {
-    fn record(&self, event: &Event) {
-        let line = serde::json::to_string(event);
+    fn record(&self, record: &Record<'_>) {
+        let line = serde::json::to_string(&record.to_event());
         let _ = writeln!(self.writer.borrow_mut(), "{line}");
     }
 
@@ -209,17 +212,17 @@ impl CaptureSink {
 }
 
 impl Sink for CaptureSink {
-    fn record(&self, event: &Event) {
+    fn record(&self, record: &Record<'_>) {
         let mut events = self.events.borrow_mut();
         let index = events.len();
         let mut by_name = self.by_name.borrow_mut();
-        match by_name.get_mut(&*event.name) {
+        match by_name.get_mut(record.name) {
             Some(indices) => indices.push(index),
             None => {
-                by_name.insert(event.name.to_string(), vec![index]);
+                by_name.insert(record.name.to_owned(), vec![index]);
             }
         }
-        events.push(event.clone());
+        events.push(record.to_event());
     }
 
     fn min_level(&self) -> Level {
@@ -230,25 +233,26 @@ impl Sink for CaptureSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, FieldValue};
+    use crate::event::{EventKind, Value};
 
-    fn sample(seq: u64, level: Level) -> Event {
-        Event {
+    /// Records one event named `name` whose single field is its `seq`.
+    fn record(sink: &dyn Sink, seq: u64, level: Level, name: &'static str) {
+        sink.record(&Record {
             seq,
             kind: EventKind::Event,
             level,
-            target: "t".into(),
-            name: "e".into(),
-            span_path: vec![],
-            fields: vec![("k".into(), FieldValue::U64(seq))],
-        }
+            target: "t",
+            name,
+            span_path: &[],
+            fields: &[("k", Value::U64(seq))],
+        });
     }
 
     #[test]
     fn capture_sink_buffers_in_order() {
         let sink = CaptureSink::new();
-        sink.record(&sample(1, Level::Info));
-        sink.record(&sample(2, Level::Warn));
+        record(&sink, 1, Level::Info, "e");
+        record(&sink, 2, Level::Warn, "e");
         let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
         assert_eq!(sink.len(), 2);
@@ -260,13 +264,8 @@ mod tests {
     fn named_uses_the_index_and_survives_clear() {
         let sink = CaptureSink::new();
         for seq in 0..10 {
-            let mut event = sample(seq, Level::Info);
-            event.name = if seq % 3 == 0 {
-                "fizz".into()
-            } else {
-                "e".into()
-            };
-            sink.record(&event);
+            let name = if seq % 3 == 0 { "fizz" } else { "e" };
+            record(&sink, seq, Level::Info, name);
         }
         let fizz = sink.named("fizz");
         assert_eq!(fizz.len(), 4);
@@ -274,15 +273,15 @@ mod tests {
         assert!(sink.named("absent").is_empty());
         sink.clear();
         assert!(sink.named("fizz").is_empty());
-        sink.record(&sample(99, Level::Info));
+        record(&sink, 99, Level::Info, "e");
         assert_eq!(sink.named("e").len(), 1);
     }
 
     #[test]
     fn jsonl_sink_writes_one_decodable_object_per_line() {
         let sink = JsonlSink::in_memory();
-        sink.record(&sample(1, Level::Info));
-        sink.record(&sample(2, Level::Debug));
+        record(&sink, 1, Level::Info, "e");
+        record(&sink, 2, Level::Debug, "e");
         let text = sink.contents();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -295,7 +294,7 @@ mod tests {
     #[test]
     fn pretty_sink_renders_lines() {
         let sink = PrettySink::new(Vec::new());
-        sink.record(&sample(7, Level::Warn));
+        record(&sink, 7, Level::Warn, "e");
         let text = String::from_utf8(sink.writer.into_inner()).unwrap();
         assert!(text.contains("WARN"), "{text}");
         assert!(text.contains("k=7"), "{text}");

@@ -1,7 +1,8 @@
 //! Property tests: flight-recorder dumps must reproduce emission order
 //! exactly, for any interleaving of events, spans and severities (and
-//! however the shapes of the events that reuse a ring slot differ), and
-//! JSONL traces must round-trip losslessly.
+//! however the shapes, text lengths and span depths of the records that
+//! reuse a ring slot differ), and JSONL traces must round-trip
+//! losslessly.
 
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -22,36 +23,44 @@ const SPAN_NAMES: [&str; 3] = ["campaign", "setup", "run"];
 /// One step of an arbitrary instrumented program.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Emit a point event at this level with this many fields (0–3;
-    /// two or more include a `Str` field, and each count puts a
+    /// Emit a point event at this level with the `n`th field shape of
+    /// `emit` (0, 1, 2 or 4 fields; two or more include text of the
+    /// drawn length, four a second text, and each shape puts a
     /// different key first).
-    Emit(Level, usize),
+    Emit(Level, usize, usize),
     /// Enter the span named `SPAN_NAMES[i]` (always `Info`, so only
-    /// `Emit(Error, _)` triggers dumps).
+    /// `Emit(Error, ..)` triggers dumps).
     Push(usize),
+    /// Enter this many spans at once, reaching paths deeper than a
+    /// dispatch copies inline.
+    Dive(usize),
     /// Exit the innermost open span, if any.
     Pop,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (arb_level(), 0usize..4).prop_map(|(level, fields)| Op::Emit(level, fields)),
+        (arb_level(), 0usize..4, 0usize..40)
+            .prop_map(|(level, fields, text)| Op::Emit(level, fields, text)),
         (0..SPAN_NAMES.len()).prop_map(Op::Push),
+        (1usize..12).prop_map(Op::Dive),
         Just(Op::Pop),
     ]
 }
 
-fn emit(level: Level, fields: usize, i: usize) {
+fn emit(level: Level, fields: usize, text: usize, i: usize) {
+    let label = "x".repeat(text);
     match fields {
         0 => telemetry::event!(level, "op"),
         1 => telemetry::event!(level, "op", i = i),
-        2 => telemetry::event!(level, "op", label = format!("step-{i}"), i = i),
+        2 => telemetry::event!(level, "op", label = label, i = i),
         _ => telemetry::event!(
             level,
             "op",
             half = i as f64 * 0.5,
             i = i,
-            label = format!("step-{i}"),
+            label = label,
+            tag = format!("step-{i}"),
         ),
     }
 }
@@ -76,8 +85,14 @@ proptest! {
         let mut spans: Vec<SpanGuard> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
-                Op::Emit(level, fields) => emit(*level, *fields, i),
+                Op::Emit(level, fields, text) => emit(*level, *fields, *text, i),
                 Op::Push(name) => spans.push(telemetry::span!(Level::Info, SPAN_NAMES[*name])),
+                Op::Dive(depth) => {
+                    for d in 0..*depth {
+                        let name = SPAN_NAMES[d % SPAN_NAMES.len()];
+                        spans.push(telemetry::span!(Level::Info, name));
+                    }
+                }
                 Op::Pop => {
                     spans.pop();
                 }

@@ -44,18 +44,22 @@ impl RunOutcome {
     pub fn needs_reset(self) -> bool {
         matches!(self, RunOutcome::Crash)
     }
-}
 
-impl fmt::Display for RunOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The outcome's short label, as logs and telemetry fields show it.
+    pub fn label(self) -> &'static str {
+        match self {
             RunOutcome::Correct => "correct",
             RunOutcome::CorrectableError => "CE",
             RunOutcome::UncorrectableError => "UE",
             RunOutcome::SilentDataCorruption => "SDC",
             RunOutcome::Crash => "crash",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for RunOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -376,7 +376,7 @@ impl XGene2Server {
             "run_outcome",
             core = core.index(),
             workload = workload.name(),
-            outcome = outcome.to_string(),
+            outcome = outcome.label(),
         );
         CoreRunResult {
             core,
