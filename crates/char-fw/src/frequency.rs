@@ -7,7 +7,7 @@
 //! same way the Vmin campaigns reveal the voltage guardband.
 
 use crate::resilience::{recover_board, set_pmd_voltage_verified, ResilienceConfig};
-use crate::setup::SafePolicy;
+use crate::setup::{stepped, SafePolicy};
 use power_model::units::{Megahertz, Millivolts};
 use serde::{Deserialize, Serialize};
 use xgene_sim::server::XGene2Server;
@@ -27,7 +27,7 @@ pub struct FmaxCampaign {
     pub start: Megahertz,
     /// Search ceiling.
     pub ceiling: Megahertz,
-    /// PLL step per setup, in MHz.
+    /// PLL step per setup, in MHz (zero climbs in 1 MHz steps).
     pub step_mhz: u32,
     /// Repetitions per setup.
     pub repetitions: u32,
@@ -51,15 +51,12 @@ impl FmaxCampaign {
         }
     }
 
-    /// The ascending frequency schedule.
+    /// The ascending frequency schedule. A zero `step_mhz` climbs in
+    /// 1 MHz steps.
     pub fn schedule(&self) -> Vec<Megahertz> {
-        let mut out = Vec::new();
-        let mut f = self.start.as_u32();
-        while f <= self.ceiling.as_u32() {
-            out.push(Megahertz::new(f));
-            f += self.step_mhz;
-        }
-        out
+        stepped(self.start.as_u32()..=self.ceiling.as_u32(), self.step_mhz)
+            .map(Megahertz::new)
+            .collect()
     }
 }
 
@@ -77,11 +74,12 @@ pub struct FmaxResult {
 /// Runs the campaign against a server.
 pub fn run_fmax_campaign(server: &mut XGene2Server, campaign: &FmaxCampaign) -> Vec<FmaxResult> {
     let resilience = ResilienceConfig::default();
+    let schedule = campaign.schedule();
     let mut results = Vec::new();
     for benchmark in &campaign.benchmarks {
         for &core in &campaign.cores {
             let mut best: Option<Megahertz> = None;
-            'schedule: for freq in campaign.schedule() {
+            'schedule: for &freq in &schedule {
                 for _rep in 0..campaign.repetitions {
                     set_pmd_voltage_verified(
                         server,
@@ -188,6 +186,17 @@ mod tests {
             faulty.reset_count() > clean.reset_count(),
             "recovery cycles happened"
         );
+    }
+
+    #[test]
+    fn a_zero_step_climbs_in_megahertz_steps_to_the_ceiling() {
+        let campaign = FmaxCampaign {
+            step_mhz: 0,
+            ..FmaxCampaign::dsn18(vec![], vec![])
+        };
+        let schedule = campaign.schedule();
+        let expected: Vec<Megahertz> = (2400..=3200).map(Megahertz::new).collect();
+        assert_eq!(schedule, expected);
     }
 
     #[test]

@@ -4,9 +4,6 @@
 //! execution, parsing — that finds each component's limits under scaled
 //! voltage/frequency/refresh conditions and classifies every run's effect:
 //!
-//! * [`board`] — board provisioning: campaigns take injected board
-//!   handles (the fleet scheduler's and a future hardware backend's
-//!   entry point) instead of constructing their own;
 //! * [`setup`] — characterization setups, voltage schedules, safe-outcome
 //!   policies (initialization phase);
 //! * [`runner`] — the execution loop with watchdog recovery and per-run
@@ -54,7 +51,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod board;
 pub mod dramchar;
 pub mod frequency;
 pub mod integrity;
@@ -67,14 +63,10 @@ pub mod setup;
 pub mod soak;
 pub mod warmstart;
 
-pub use board::{BoardProvider, SeededBoards};
 pub use dramchar::{run_dram_campaign, DramCampaignConfig, DramCampaignReport};
 pub use frequency::{run_fmax_campaign, FmaxCampaign, FmaxResult};
 pub use integrity::{crc32, seal, unseal, CorruptCheckpoint};
-pub use multiprocess::{
-    rail_scaling, rail_scaling_with, run_multiprocess_campaign, MultiProcessCampaign,
-    RailVminResult,
-};
+pub use multiprocess::{run_multiprocess_campaign, MultiProcessCampaign, RailVminResult};
 pub use report::{
     classify, quarantine_to_csv, records_to_csv, safety_to_csv, vmins_to_csv, OutcomeCounts,
 };

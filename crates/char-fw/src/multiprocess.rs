@@ -9,7 +9,7 @@
 //! 8 instances on TTT).
 
 use crate::resilience::{recover_board, set_pmd_voltage_verified, ResilienceConfig};
-use crate::setup::SafePolicy;
+use crate::setup::{descending, SafePolicy};
 use power_model::units::{Megahertz, Millivolts};
 use serde::{Deserialize, Serialize};
 use xgene_sim::server::XGene2Server;
@@ -70,8 +70,7 @@ pub fn run_multiprocess_campaign(
     let resilience = ResilienceConfig::default();
     let cores: Vec<CoreId> = (0..n as u8).map(CoreId::new).collect();
     let mut last_safe = None;
-    let mut v = campaign.start;
-    while v >= campaign.floor {
+    for v in descending(campaign.start, campaign.floor, campaign.step_mv) {
         let mut all_safe = true;
         'reps: for _ in 0..campaign.repetitions {
             set_pmd_voltage_verified(server, v, resilience.setup_restore_attempts);
@@ -103,42 +102,11 @@ pub fn run_multiprocess_campaign(
         } else {
             break;
         }
-        v = v.step_down(campaign.step_mv.max(1));
     }
     RailVminResult {
         instances: n,
         rail_vmin: last_safe,
     }
-}
-
-/// The rail-Vmin scaling curve: instance counts 1..=8 of the same
-/// workload replicated, one fresh board per count supplied by
-/// `provider` (configuration index `n − 1` for `n` instances).
-pub fn rail_scaling_with(
-    provider: &mut dyn crate::board::BoardProvider,
-    workload: &WorkloadProfile,
-) -> Vec<RailVminResult> {
-    (1..=8)
-        .map(|n| {
-            let mut server = provider.board(n - 1);
-            let campaign = MultiProcessCampaign::dsn18(vec![workload.clone(); n]);
-            run_multiprocess_campaign(&mut server, &campaign)
-        })
-        .collect()
-}
-
-/// [`rail_scaling_with`] on identical seeded boards — the single-board
-/// legacy entry point.
-pub fn rail_scaling(
-    server_seed: u64,
-    corner: xgene_sim::sigma::SigmaBin,
-    workload: &WorkloadProfile,
-) -> Vec<RailVminResult> {
-    let mut provider = crate::board::SeededBoards {
-        corner,
-        seed: server_seed,
-    };
-    rail_scaling_with(&mut provider, workload)
 }
 
 #[cfg(test)]
@@ -150,27 +118,19 @@ mod tests {
     #[test]
     fn rail_vmin_rises_with_instance_count() {
         let w = by_name("milc").unwrap().profile();
-        let curve = rail_scaling(91, SigmaBin::Ttt, &w);
-        assert_eq!(curve.len(), 8);
-        let vmins: Vec<u32> = curve
-            .iter()
-            .map(|r| r.rail_vmin.expect("safe point exists").as_u32())
+        let vmins: Vec<u32> = (1..=8)
+            .map(|n| {
+                let campaign = MultiProcessCampaign::dsn18(vec![w.clone(); n]);
+                let mut server = XGene2Server::new(SigmaBin::Ttt, 91);
+                let result = run_multiprocess_campaign(&mut server, &campaign);
+                assert_eq!(result.instances, n);
+                result.rail_vmin.expect("safe point exists").as_u32()
+            })
             .collect();
         for w in vmins.windows(2) {
             assert!(w[1] >= w[0], "{vmins:?}");
         }
         assert!(vmins[7] > vmins[0], "{vmins:?}");
-    }
-
-    #[test]
-    fn injected_boards_reproduce_the_seeded_curve() {
-        // The provider-based entry point with a closure handing out the
-        // same seeded boards must match the legacy constructor path.
-        let w = by_name("milc").unwrap().profile();
-        let legacy = rail_scaling(91, SigmaBin::Ttt, &w);
-        let mut provider = |_i: usize| XGene2Server::new(SigmaBin::Ttt, 91);
-        let injected = rail_scaling_with(&mut provider, &w);
-        assert_eq!(legacy, injected);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::safety::{
     BreakerState, CampaignSafetyState, HealthSignal, SafetySummary, SentinelVerdict,
     TenantAttribution,
 };
-use crate::setup::{SafePolicy, Setup, VminCampaign};
+use crate::setup::{Setup, VminCampaign};
 use power_model::units::Millivolts;
 use serde::{Deserialize, Serialize};
 use telemetry::Level;
@@ -554,29 +554,21 @@ impl<'a> ResilientRunner<'a> {
     }
 }
 
-/// Policy helper: the classification the parsing phase attaches to a whole
-/// setup from its repetition outcomes.
-pub fn classify_setup(outcomes: &[RunOutcome], policy: SafePolicy) -> RunOutcome {
-    let mut worst = RunOutcome::Correct;
-    for &o in outcomes {
-        let severity = |x: RunOutcome| match x {
-            RunOutcome::Correct => 0,
-            RunOutcome::CorrectableError => 1,
-            RunOutcome::UncorrectableError => 2,
-            RunOutcome::SilentDataCorruption => 3,
-            RunOutcome::Crash => 4,
-        };
-        if severity(o) > severity(worst) {
-            worst = o;
-        }
-    }
-    let _ = policy;
-    worst
+/// The classification the parsing phase attaches to a whole setup from
+/// its repetition outcomes: the most severe one (a safe policy moves the
+/// accept/reject line, not the severity order).
+pub fn classify_setup(outcomes: &[RunOutcome]) -> RunOutcome {
+    outcomes
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(RunOutcome::Correct)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::SafePolicy;
     use power_model::units::Megahertz;
     use workload_sim::spec::SPEC_SUITE;
     use xgene_sim::fault::FaultPlan;
@@ -670,17 +662,9 @@ mod tests {
     #[test]
     fn classify_setup_takes_worst() {
         use RunOutcome::*;
-        assert_eq!(
-            classify_setup(
-                &[Correct, CorrectableError, Crash],
-                SafePolicy::AllowCorrected
-            ),
-            Crash
-        );
-        assert_eq!(
-            classify_setup(&[Correct], SafePolicy::StrictCorrect),
-            Correct
-        );
+        assert_eq!(classify_setup(&[Correct, CorrectableError, Crash]), Crash);
+        assert_eq!(classify_setup(&[Correct]), Correct);
+        assert_eq!(classify_setup(&[]), Correct);
     }
 
     #[test]

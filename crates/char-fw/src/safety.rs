@@ -49,15 +49,21 @@ pub enum BreakerState {
     Cooldown,
 }
 
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl BreakerState {
+    /// The state's short label, as logs and telemetry fields show it.
+    pub fn label(self) -> &'static str {
+        match self {
             BreakerState::Healthy => "healthy",
             BreakerState::Watch => "watch",
             BreakerState::Tripped => "tripped",
             BreakerState::Cooldown => "cooldown",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for BreakerState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -84,7 +90,14 @@ pub enum TripReason {
 
 impl std::fmt::Display for TripReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+        f.write_str(self.label())
+    }
+}
+
+impl TripReason {
+    /// The reason's short label, as logs and telemetry fields show it.
+    pub fn label(self) -> &'static str {
+        match self {
             TripReason::CeRate => "ce-rate",
             TripReason::ScrubberCeRate => "scrub-ce-rate",
             TripReason::SdcChecksum => "sdc-checksum",
@@ -92,12 +105,9 @@ impl std::fmt::Display for TripReason {
             TripReason::WatchdogTimeout => "watchdog-timeout",
             TripReason::UncorrectableError => "ue-report",
             TripReason::CrossTenantDroop => "cross-tenant-droop",
-        };
-        f.write_str(s)
+        }
     }
-}
 
-impl TripReason {
     /// Which tenant a trip with this reason is attributed to: every
     /// classic reason blames the board's own silicon; a cross-tenant
     /// droop excursion blames the adversarial neighbour.
@@ -420,8 +430,8 @@ impl CircuitBreaker {
         telemetry::event!(
             Level::Error,
             "breaker_trip",
-            reason = reason.to_string(),
-            from = self.state.to_string(),
+            reason = reason.label(),
+            from = self.state.label(),
             ewma = self.ewma,
             trips = self.trips,
         );
@@ -434,8 +444,8 @@ impl CircuitBreaker {
         telemetry::event!(
             Level::Info,
             "breaker_state",
-            from = self.state.to_string(),
-            to = to.to_string(),
+            from = self.state.label(),
+            to = to.label(),
             ewma = self.ewma,
         );
         self.state = to;
@@ -629,7 +639,7 @@ impl SentinelRunner {
             Level::Debug,
             "sentinel_check",
             pmd = pmd.index(),
-            verdict = verdict.to_string(),
+            verdict = verdict.label(),
             ce_events = ce_events,
         );
         telemetry::counter!("sentinel_checks_total");
@@ -638,7 +648,7 @@ impl SentinelRunner {
                 Level::Warn,
                 "sentinel_detection",
                 pmd = pmd.index(),
-                verdict = verdict.to_string(),
+                verdict = verdict.label(),
             );
             telemetry::counter!("sentinel_detections_total");
         }

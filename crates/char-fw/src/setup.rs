@@ -98,14 +98,24 @@ impl VminCampaign {
     /// The descending voltage schedule of this campaign. A zero
     /// `step_mv` walks in 1 mV steps, as warm-started walks read it.
     pub fn voltage_schedule(&self) -> Vec<Millivolts> {
-        let mut schedule = Vec::new();
-        let mut v = self.start;
-        while v >= self.floor && v.as_u32() > 0 {
-            schedule.push(v);
-            v = v.step_down(self.step_mv.max(1));
-        }
-        schedule
+        descending(self.start, self.floor, self.step_mv).collect()
     }
+}
+
+/// The voltages from `start` down to `floor` (both inclusive, never
+/// 0 mV) in `step_mv` steps: the Vmin and rail-Vmin walks' schedule.
+pub(crate) fn descending(
+    start: Millivolts,
+    floor: Millivolts,
+    step_mv: u32,
+) -> impl Iterator<Item = Millivolts> {
+    stepped((floor.as_u32().max(1)..=start.as_u32()).rev(), step_mv).map(Millivolts::new)
+}
+
+/// Every `step`-th unit of `units`, a zero step read as one unit: the
+/// one stepping rule of the Vmin, rail-Vmin and Fmax schedules.
+pub(crate) fn stepped<I: Iterator<Item = u32>>(units: I, step: u32) -> std::iter::StepBy<I> {
+    units.step_by(step.max(1) as usize)
 }
 
 #[cfg(test)]

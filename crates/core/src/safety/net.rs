@@ -505,7 +505,7 @@ impl SafetyNet {
                 telemetry::event!(
                     Level::Warn,
                     "refresh_rollback",
-                    reason = reason.to_string(),
+                    reason = reason.label(),
                     trefp_ms = Milliseconds::DDR3_NOMINAL_TREFP.as_f64(),
                 );
                 telemetry::counter!("refresh_rollbacks_total");

@@ -19,7 +19,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Classification of one characterization run.
+/// Classification of one characterization run. The variants run from
+/// mildest to most severe, so `Ord` is the severity order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum RunOutcome {
     /// Completed with output matching the golden reference.

@@ -66,10 +66,18 @@ pub const DVFS_STEPS_MHZ: [u32; 5] = [2400, 2000, 1600, 1200, 800];
 pub struct CoreRunResult {
     /// Core the program ran on.
     pub core: CoreId,
-    /// Workload name.
-    pub workload: String,
     /// Classified outcome.
     pub outcome: RunOutcome,
+}
+
+impl CoreRunResult {
+    /// What a hung board answers for a run on `core`: nothing executes.
+    fn crash(core: CoreId) -> Self {
+        CoreRunResult {
+            core,
+            outcome: RunOutcome::Crash,
+        }
+    }
 }
 
 /// One multi-tenant epoch: a victim run plus its co-tenants' runs, with
@@ -352,22 +360,9 @@ impl XGene2Server {
     /// explicit [`Self::power_cycle`]).
     pub fn run_on_core(&mut self, core: CoreId, workload: &WorkloadProfile) -> CoreRunResult {
         if self.hung {
-            return CoreRunResult {
-                core,
-                workload: workload.name().to_owned(),
-                outcome: RunOutcome::Crash,
-            };
+            return CoreRunResult::crash(core);
         }
-        let freq = self.pmd_frequencies[core.pmd().index()];
-        let outcome = self.fault_model.classify(
-            &self.chip,
-            core,
-            workload,
-            freq,
-            self.pmd_voltage,
-            &mut self.rng,
-        );
-        let outcome = self.apply_sdc_injection(core, workload, freq, 1, outcome, self.pmd_voltage);
+        let outcome = self.classify_run(core, workload, self.pmd_voltage, 1);
         if outcome.needs_reset() {
             self.reset();
         }
@@ -378,11 +373,7 @@ impl XGene2Server {
             workload = workload.name(),
             outcome = outcome.label(),
         );
-        CoreRunResult {
-            core,
-            workload: workload.name().to_owned(),
-            outcome,
-        }
+        CoreRunResult { core, outcome }
     }
 
     /// Runs one program per assignment simultaneously (multi-process
@@ -391,37 +382,19 @@ impl XGene2Server {
         if self.hung {
             return assignments
                 .iter()
-                .map(|(core, workload)| CoreRunResult {
-                    core: *core,
-                    workload: workload.name().to_owned(),
-                    outcome: RunOutcome::Crash,
-                })
+                .map(|&(core, _)| CoreRunResult::crash(core))
                 .collect();
         }
         let n = assignments.len().max(1);
-        let mut results = Vec::with_capacity(assignments.len());
-        let mut crashed = false;
-        for (core, workload) in assignments {
-            let freq = self.pmd_frequencies[core.pmd().index()];
-            let outcome = self.fault_model.classify_with_active_cores(
-                &self.chip,
-                *core,
-                workload,
-                freq,
-                self.pmd_voltage,
-                n,
-                &mut self.rng,
-            );
-            let outcome =
-                self.apply_sdc_injection(*core, workload, freq, n, outcome, self.pmd_voltage);
-            crashed |= outcome.needs_reset();
-            results.push(CoreRunResult {
-                core: *core,
-                workload: workload.name().to_owned(),
-                outcome,
-            });
-        }
-        if crashed {
+        let rail = self.pmd_voltage;
+        let results: Vec<CoreRunResult> = assignments
+            .iter()
+            .map(|&(core, workload)| CoreRunResult {
+                core,
+                outcome: self.classify_run(core, workload, rail, n),
+            })
+            .collect();
+        if results.iter().any(|r| r.outcome.needs_reset()) {
             self.reset();
         }
         results
@@ -449,18 +422,10 @@ impl XGene2Server {
     ) -> ColocatedRun {
         if self.hung {
             return ColocatedRun {
-                victim: CoreRunResult {
-                    core,
-                    workload: workload.name().to_owned(),
-                    outcome: RunOutcome::Crash,
-                },
+                victim: CoreRunResult::crash(core),
                 aggressors: co_tenants
                     .iter()
-                    .map(|(c, w)| CoreRunResult {
-                        core: *c,
-                        workload: w.name().to_owned(),
-                        outcome: RunOutcome::Crash,
-                    })
+                    .map(|&(c, _)| CoreRunResult::crash(c))
                     .collect(),
                 cross_droop_mv: 0.0,
             };
@@ -473,24 +438,10 @@ impl XGene2Server {
         // Victim: classified at the droop-eroded effective voltage, drawing
         // from the victim RNG stream and advancing the fault plan exactly
         // as a solo run would.
-        let freq = self.pmd_frequencies[core.pmd().index()];
         let effective = droop_adjusted(self.pmd_voltage, cross_droop_mv);
-        let outcome = self.fault_model.classify_with_active_cores(
-            &self.chip,
-            core,
-            workload,
-            freq,
-            effective,
-            active,
-            &mut self.rng,
-        );
-        let outcome = self.apply_sdc_injection(core, workload, freq, active, outcome, effective);
+        let outcome = self.classify_run(core, workload, effective, active);
         let mut crashed = outcome.needs_reset();
-        let victim = CoreRunResult {
-            core,
-            workload: workload.name().to_owned(),
-            outcome,
-        };
+        let victim = CoreRunResult { core, outcome };
 
         // Aggressors: classified from the attacker stream at *their*
         // droop-eroded voltage (the droop every other tenant couples onto
@@ -524,7 +475,6 @@ impl XGene2Server {
             crashed |= a_outcome.needs_reset();
             aggressors.push(CoreRunResult {
                 core: *a_core,
-                workload: a_workload.name().to_owned(),
                 outcome: a_outcome,
             });
         }
@@ -540,7 +490,7 @@ impl XGene2Server {
             workload = workload.name(),
             co_tenants = co_tenants.len(),
             cross_droop_mv = cross_droop_mv,
-            outcome = victim.outcome.to_string(),
+            outcome = victim.outcome.label(),
         );
         ColocatedRun {
             victim,
@@ -549,36 +499,45 @@ impl XGene2Server {
         }
     }
 
-    /// Applies the fault plan's silicon-level SDC injection (if any) to a
-    /// freshly classified run. Without a plan this is a no-op; with one,
-    /// the plan's run-draw counter advances (no RNG) and forced or
-    /// sub-Vmin runs are reclassified as silent corruptions. `rail` is the
-    /// effective voltage the run actually saw (droop-adjusted for
-    /// co-located runs), so the sub-Vmin check matches the physics.
-    fn apply_sdc_injection(
+    /// Classifies one run on the victim stream: the fault model at the
+    /// core's PMD frequency, the rail voltage the run saw (`rail`,
+    /// droop-adjusted for co-located runs) and `active_cores` switching
+    /// cores, then the fault plan's silicon-level SDC injection. Without
+    /// a plan the injection is a no-op; with one, the plan's run-draw
+    /// counter advances (no RNG) and forced or sub-Vmin runs are
+    /// reclassified as silent corruptions.
+    fn classify_run(
         &mut self,
         core: CoreId,
         workload: &WorkloadProfile,
-        freq: Megahertz,
-        active_cores: usize,
-        outcome: RunOutcome,
         rail: Millivolts,
+        active_cores: usize,
     ) -> RunOutcome {
+        let freq = self.pmd_frequencies[core.pmd().index()];
+        let outcome = self.fault_model.classify_with_active_cores(
+            &self.chip,
+            core,
+            workload,
+            freq,
+            rail,
+            active_cores,
+            &mut self.rng,
+        );
         let Some(plan) = self.fault_plan.as_mut() else {
             return outcome;
         };
         let vmin = self
             .chip
             .vmin_with_active_cores(core, workload, freq, active_cores);
-        let below = rail < vmin;
-        if plan.next_run_sdc_override(below, outcome) && outcome != RunOutcome::SilentDataCorruption
+        if plan.next_run_sdc_override(rail < vmin, outcome)
+            && outcome != RunOutcome::SilentDataCorruption
         {
             telemetry::event!(
                 Level::Debug,
                 "sdc_injected",
                 core = core.index(),
                 workload = workload.name(),
-                original = outcome.to_string(),
+                original = outcome.label(),
             );
             telemetry::counter!("sdc_injections_total");
             return RunOutcome::SilentDataCorruption;
@@ -770,7 +729,7 @@ mod tests {
         let b = WorkloadProfile::builder("b").activity(0.6).build();
         let results = server.run_many(&[(CoreId::new(0), &a), (CoreId::new(2), &b)]);
         assert_eq!(results.len(), 2);
-        assert_eq!(results[0].workload, "a");
+        assert_eq!(results[0].core, CoreId::new(0));
         assert_eq!(results[1].core, CoreId::new(2));
     }
 
@@ -1079,6 +1038,46 @@ mod tests {
             assert_eq!(b.cross_droop_mv, 0.0);
             assert_eq!(solo.reset_count(), colo.reset_count());
         }
+    }
+
+    #[test]
+    fn a_single_assignment_run_many_matches_run_on_core() {
+        let heavy = WorkloadProfile::builder("heavy")
+            .activity(0.9)
+            .swing(0.8)
+            .build();
+        let plan = FaultPlan::quiet(46)
+            .with_sub_vmin_sdc()
+            .with_power_cycle_failure_rate(0.3)
+            .with_boot_loop_rate(0.2);
+        let mut solo = XGene2Server::new(SigmaBin::Ttt, 46);
+        let mut many = XGene2Server::new(SigmaBin::Ttt, 46);
+        solo.install_fault_plan(plan.clone());
+        many.install_fault_plan(plan);
+        let core = solo.chip().most_robust_core();
+        let vmin = solo.chip().vmin(core, &heavy, Megahertz::XGENE2_NOMINAL);
+        let volts = Millivolts::new(vmin.as_u32() - 6);
+        let mut outcomes = Vec::new();
+        for _ in 0..60 {
+            solo.set_pmd_voltage(volts).unwrap();
+            many.set_pmd_voltage(volts).unwrap();
+            let solo_run = solo.run_on_core(core, &heavy);
+            outcomes.push(solo_run.outcome);
+            assert_eq!(many.run_many(&[(core, &heavy)]), [solo_run]);
+            assert_eq!(solo.reset_count(), many.reset_count());
+            assert_eq!(solo.is_hung(), many.is_hung());
+            if solo.is_hung() {
+                assert_eq!(solo.power_cycle(), many.power_cycle());
+            }
+        }
+        assert!(
+            outcomes.contains(&RunOutcome::Crash),
+            "premise: some sub-Vmin runs crash the board"
+        );
+        assert!(
+            outcomes.contains(&RunOutcome::SilentDataCorruption),
+            "premise: the plan turns completed sub-Vmin runs silent"
+        );
     }
 
     #[test]

@@ -198,14 +198,6 @@ fn arb_outcome() -> impl Strategy<Value = armv8_guardbands::xgene_sim::fault::Ru
     ]
 }
 
-fn arb_policy() -> impl Strategy<Value = armv8_guardbands::char_fw::setup::SafePolicy> {
-    use armv8_guardbands::char_fw::setup::SafePolicy;
-    prop_oneof![
-        Just(SafePolicy::StrictCorrect),
-        Just(SafePolicy::AllowCorrected)
-    ]
-}
-
 proptest! {
     /// The setup classification is dominated by its worst member: it never
     /// reports anything milder than any individual repetition, and the
@@ -213,7 +205,6 @@ proptest! {
     #[test]
     fn classify_setup_severity_dominance(
         outcomes in prop::collection::vec(arb_outcome(), 0..12),
-        policy in arb_policy(),
     ) {
         use armv8_guardbands::char_fw::runner::classify_setup;
         use armv8_guardbands::xgene_sim::fault::RunOutcome;
@@ -224,7 +215,7 @@ proptest! {
             RunOutcome::SilentDataCorruption => 3,
             RunOutcome::Crash => 4,
         };
-        let class = classify_setup(&outcomes, policy);
+        let class = classify_setup(&outcomes);
         for &o in &outcomes {
             prop_assert!(severity(class) >= severity(o), "{class:?} milder than {o:?}");
         }
@@ -241,30 +232,15 @@ proptest! {
     fn classify_setup_is_order_independent(
         outcomes in prop::collection::vec(arb_outcome(), 1..10),
         rotation in 0usize..10,
-        policy in arb_policy(),
     ) {
         use armv8_guardbands::char_fw::runner::classify_setup;
-        let baseline = classify_setup(&outcomes, policy);
+        let baseline = classify_setup(&outcomes);
         let mut rotated = outcomes.clone();
         rotated.rotate_left(rotation % outcomes.len());
-        prop_assert_eq!(classify_setup(&rotated, policy), baseline);
+        prop_assert_eq!(classify_setup(&rotated), baseline);
         let mut reversed = outcomes.clone();
         reversed.reverse();
-        prop_assert_eq!(classify_setup(&reversed, policy), baseline);
-    }
-
-    /// Both safe policies agree on the class itself (the policy moves the
-    /// accept/reject line, not the severity order).
-    #[test]
-    fn classify_setup_is_policy_invariant(
-        outcomes in prop::collection::vec(arb_outcome(), 0..12),
-    ) {
-        use armv8_guardbands::char_fw::runner::classify_setup;
-        use armv8_guardbands::char_fw::setup::SafePolicy;
-        prop_assert_eq!(
-            classify_setup(&outcomes, SafePolicy::StrictCorrect),
-            classify_setup(&outcomes, SafePolicy::AllowCorrected)
-        );
+        prop_assert_eq!(classify_setup(&reversed), baseline);
     }
 }
 
