@@ -149,13 +149,8 @@ fn dispatch(seed: u64) -> DispatchOutcome {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        let route = Router::route_of(&request);
-        let req_started = Instant::now();
         let response = router.handle(&request);
-        router
-            .metrics()
-            .observe(route, response.status, req_started.elapsed().as_secs_f64());
-        if route == Route::SafePoint {
+        if Route::of(&request.method, &request.target) == Route::SafePoint {
             lookups += 1;
             if response.status == 404 {
                 lookup_misses += 1;

@@ -21,8 +21,7 @@ use crate::resilience::{
     QuarantineTracker, RecoveryStats, ResilienceConfig, SearchState,
 };
 use crate::safety::{
-    BreakerState, CampaignSafetyState, HealthSignal, SafetySummary, SentinelVerdict,
-    TenantAttribution,
+    BreakerState, CampaignSafetyState, HealthSignal, SafetySummary, TenantAttribution,
 };
 use crate::setup::{Setup, VminCampaign};
 use power_model::units::Millivolts;
@@ -396,15 +395,8 @@ impl<'a> ResilientRunner<'a> {
         let pmd = self.campaign.cores[self.cursor.core_idx].pmd();
         let report = self.safety.sentinel.check(self.server, pmd);
         self.recover_if_hung();
-        let signal = HealthSignal {
-            ce_events: report.ce_events,
-            scrub_ce_rate: 0.0,
-            ue: report.verdict == SentinelVerdict::HwError,
-            sdc_checksum: report.verdict == SentinelVerdict::ChecksumMismatch,
-            sdc_vote: report.verdict == SentinelVerdict::VoteSplit,
-            timeout: report.verdict == SentinelVerdict::Timeout,
-            droop_mv: 0.0,
-        };
+        let mut signal = HealthSignal::clean();
+        signal.absorb(&report);
         let before = self.safety.breaker.state();
         let after = self.safety.breaker.record_epoch(&signal);
         if after == BreakerState::Tripped && before != BreakerState::Tripped {

@@ -225,6 +225,19 @@ impl HealthSignal {
         HealthSignal::default()
     }
 
+    /// Folds one sentinel check into this epoch: its CE reports add to
+    /// the epoch's, and its verdict raises the matching flag.
+    pub fn absorb(&mut self, report: &SentinelReport) {
+        self.ce_events += report.ce_events;
+        match report.verdict {
+            SentinelVerdict::Clean => {}
+            SentinelVerdict::ChecksumMismatch => self.sdc_checksum = true,
+            SentinelVerdict::VoteSplit => self.sdc_vote = true,
+            SentinelVerdict::HwError => self.ue = true,
+            SentinelVerdict::Timeout => self.timeout = true,
+        }
+    }
+
     /// Whether this epoch carries an immediate-trip disruption.
     pub fn disruption(&self) -> Option<TripReason> {
         // Voting/checksum detections outrank the rest: they are the
@@ -717,6 +730,34 @@ mod tests {
         HealthSignal {
             ce_events: n,
             ..HealthSignal::clean()
+        }
+    }
+
+    #[test]
+    fn absorbing_a_sentinel_report_adds_its_ces_and_raises_its_verdict() {
+        let report = |verdict, ce_events| SentinelReport {
+            pmd: PmdId::new(0),
+            verdict,
+            ce_events,
+            true_sdcs: 0,
+        };
+        for (verdict, reason) in [
+            (SentinelVerdict::Clean, None),
+            (
+                SentinelVerdict::ChecksumMismatch,
+                Some(TripReason::SdcChecksum),
+            ),
+            (SentinelVerdict::VoteSplit, Some(TripReason::SdcVote)),
+            (
+                SentinelVerdict::HwError,
+                Some(TripReason::UncorrectableError),
+            ),
+            (SentinelVerdict::Timeout, Some(TripReason::WatchdogTimeout)),
+        ] {
+            let mut signal = ce(1);
+            signal.absorb(&report(verdict, 2));
+            assert_eq!(signal.ce_events, 3, "{verdict}");
+            assert_eq!(signal.disruption(), reason, "{verdict}");
         }
     }
 

@@ -27,10 +27,13 @@
 //!   jobs with no journaled completion.
 //!
 //! Every transition persists the manifest (`campaigns.json`, written
-//! atomically) when the runner owns a data directory; each campaign's
-//! write-ahead journal lives in `campaign-<id>/` beside it. A runner
-//! without a data directory has no next boot to resume from, so each
-//! run gets a fresh in-memory journal that is dropped when the run ends.
+//! atomically under the runner's one lock, so the file on disk is always
+//! the newest state) when the runner owns a data directory; each
+//! campaign's write-ahead journal lives in `campaign-<id>/` beside it,
+//! and boot hands out ids past every such directory even if the
+//! manifest was lost. A runner without a data directory has no next
+//! boot to resume from, so each run gets a fresh in-memory journal that
+//! is dropped when the run ends.
 
 use crate::state::{ControlState, StatusSnapshot};
 use fleet::{
@@ -40,8 +43,7 @@ use fleet::{
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use telemetry::metrics::Registry;
 
@@ -169,11 +171,16 @@ struct Manifest {
     records: Vec<CampaignRecord>,
 }
 
+/// Everything the runner lock guards.
 #[derive(Debug, Default)]
 struct Inner {
     next_id: u64,
     records: BTreeMap<u64, CampaignRecord>,
     queue: VecDeque<u64>,
+    /// Set once by a drain: refuses submissions and stops pickups.
+    draining: bool,
+    /// The executor thread, until a drain takes it to join.
+    executor: Option<JoinHandle<()>>,
 }
 
 /// The campaign runner: accepts submissions, executes them one at a
@@ -182,7 +189,6 @@ struct Inner {
 #[derive(Debug)]
 pub struct CampaignRunner {
     shared: Arc<RunnerShared>,
-    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 #[derive(Debug)]
@@ -191,7 +197,6 @@ struct RunnerShared {
     data_dir: Option<PathBuf>,
     inner: Mutex<Inner>,
     wake: Condvar,
-    draining: AtomicBool,
 }
 
 impl CampaignRunner {
@@ -231,138 +236,114 @@ impl CampaignRunner {
                     inner.records.insert(record.id, record);
                 }
             }
+            // A lost or undecodable manifest must not hand out an id
+            // whose journal an earlier campaign wrote.
+            inner.next_id = inner.next_id.max(first_unjournaled_id(dir));
         }
         let shared = Arc::new(RunnerShared {
             state,
             data_dir,
             inner: Mutex::new(inner),
             wake: Condvar::new(),
-            draining: AtomicBool::new(false),
         });
-        shared.persist();
-        let runner = Arc::new(CampaignRunner {
-            shared: shared.clone(),
-            worker: Mutex::new(None),
-        });
-        let handle = std::thread::spawn(move || shared.run());
-        *runner.worker.lock().expect("worker slot poisoned") = Some(handle);
-        runner
+        shared.persist(&shared.lock());
+        let executor = {
+            let shared = shared.clone();
+            std::thread::spawn(move || {
+                while let Some(id) = shared.next_queued() {
+                    shared.execute(id);
+                }
+            })
+        };
+        shared.lock().executor = Some(executor);
+        Arc::new(CampaignRunner { shared })
     }
 
     /// Submits a campaign; returns its id, or `None` while draining.
     pub fn submit(&self, spec: CampaignSpec) -> Option<u64> {
-        if self.shared.draining.load(Ordering::SeqCst) {
+        let mut inner = self.shared.lock();
+        if inner.draining {
             return None;
         }
-        let id = {
-            let mut inner = self.shared.inner.lock().expect("runner lock poisoned");
-            let id = inner.next_id;
-            inner.next_id += 1;
-            inner.records.insert(id, CampaignRecord::new(id, spec));
-            inner.queue.push_back(id);
-            id
-        };
-        self.shared.persist();
+        let id = inner.next_id;
+        inner.next_id += 1;
+        inner.records.insert(id, CampaignRecord::new(id, spec));
+        inner.queue.push_back(id);
+        self.shared.persist(&inner);
+        drop(inner);
         self.shared.wake.notify_all();
         Some(id)
     }
 
     /// One campaign's record.
     pub fn record(&self, id: u64) -> Option<CampaignRecord> {
-        self.shared
-            .inner
-            .lock()
-            .expect("runner lock poisoned")
-            .records
-            .get(&id)
-            .cloned()
+        self.shared.lock().records.get(&id).cloned()
     }
 
     /// Every record, id-ascending.
     pub fn records(&self) -> Vec<CampaignRecord> {
-        self.shared
-            .inner
-            .lock()
-            .expect("runner lock poisoned")
-            .records
-            .values()
-            .cloned()
-            .collect()
+        self.shared.lock().records.values().cloned().collect()
     }
 
     /// SIGTERM-style drain: refuse new submissions, let the in-flight
-    /// campaign finish (its journal makes even a hard kill recoverable),
-    /// persist the manifest and stop the executor thread. Blocks until
-    /// the thread exits.
+    /// campaign finish (its journal makes even a hard kill recoverable)
+    /// and stop the executor thread; the manifest already holds every
+    /// transition. Blocks until the thread exits.
+    ///
+    /// The flag is raised under the runner lock, so the executor cannot
+    /// check it, miss the store and then sleep through the wake-up, and
+    /// no submission lands after it.
     pub fn drain(&self) {
-        self.stop_executor();
-        self.shared.persist();
-    }
-
-    /// Raises `draining` and joins the executor thread. The flag is
-    /// stored under the runner lock, so the executor cannot check it,
-    /// miss the store and then sleep through the wake-up.
-    fn stop_executor(&self) {
-        let inner = self.shared.inner.lock().expect("runner lock poisoned");
-        self.shared.draining.store(true, Ordering::SeqCst);
-        drop(inner);
+        let executor = {
+            let mut inner = self.shared.lock();
+            inner.draining = true;
+            inner.executor.take()
+        };
         self.shared.wake.notify_all();
-        if let Some(handle) = self.worker.lock().expect("worker slot poisoned").take() {
-            let _ = handle.join();
+        if let Some(executor) = executor {
+            let _ = executor.join();
         }
-    }
-
-    /// Whether the runner has fully drained (no queued or running work).
-    pub fn idle(&self) -> bool {
-        let inner = self.shared.inner.lock().expect("runner lock poisoned");
-        inner.queue.is_empty()
-            && inner
-                .records
-                .values()
-                .all(|r| r.state != CampaignState::Running)
     }
 }
 
 impl Drop for CampaignRunner {
     fn drop(&mut self) {
-        self.stop_executor();
+        self.drain();
     }
 }
 
 impl RunnerShared {
-    fn run(&self) {
+    /// The runner lock. Every critical section leaves [`Inner`] whole (a
+    /// transition is a few field stores), so a panic that poisoned it
+    /// left nothing half-updated and the lock is taken through it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until a campaign is queued and dequeues it; `None` once
+    /// draining. Draining stops *pickups*, not the in-flight campaign:
+    /// queued work stays in the manifest for the next boot.
+    fn next_queued(&self) -> Option<u64> {
+        let mut inner = self.lock();
         loop {
-            let id = {
-                let mut inner = self.inner.lock().expect("runner lock poisoned");
-                loop {
-                    // Draining stops *pickups*, not the in-flight
-                    // campaign: queued work stays in the manifest for
-                    // the next boot.
-                    if self.draining.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    if let Some(id) = inner.queue.pop_front() {
-                        break Some(id);
-                    }
-                    inner = self.wake.wait(inner).expect("runner lock poisoned");
-                }
-            };
-            let Some(id) = id else { return };
-            self.execute(id);
-            if self.draining.load(Ordering::SeqCst) {
-                return;
+            if inner.draining {
+                return None;
             }
+            if let Some(id) = inner.queue.pop_front() {
+                return Some(id);
+            }
+            inner = self
+                .wake
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn execute(&self, id: u64) {
-        let (spec, incarnations) = {
-            let mut inner = self.inner.lock().expect("runner lock poisoned");
-            let record = inner.records.get_mut(&id).expect("queued id has a record");
+        let (spec, incarnations, epoch) = self.transition(id, |record| {
             record.state = CampaignState::Running;
-            (record.spec.clone(), record.incarnations)
-        };
-        self.persist();
+            (record.spec.clone(), record.incarnations, record.epoch)
+        });
 
         let fleet_spec = FleetSpec::new(spec.boards, spec.seed);
         let campaign = FleetCampaign::quick();
@@ -386,22 +367,13 @@ impl RunnerShared {
         };
 
         match result {
-            Ok(run) => self.complete(id, run),
+            Ok(run) => self.complete(id, epoch, run),
             Err(interrupted) => self.interrupt(id, &interrupted),
         }
-        self.persist();
     }
 
-    fn complete(&self, id: u64, run: DurableRun) {
+    fn complete(&self, id: u64, epoch: u32, run: DurableRun) {
         let report = &run.report;
-        let epoch = self
-            .inner
-            .lock()
-            .expect("runner lock poisoned")
-            .records
-            .get(&id)
-            .expect("running id has a record")
-            .epoch;
         // Publish BEFORE marking the record completed: a client that
         // polls the campaign to `Completed` and then looks up a safe
         // point must find the new epoch served. Order: safe points,
@@ -417,40 +389,53 @@ impl RunnerShared {
         base.gauge_set("control_plane_latest_epoch", f64::from(epoch));
         self.state.set_base_metrics(base.snapshot());
 
-        let mut inner = self.inner.lock().expect("runner lock poisoned");
-        let record = inner.records.get_mut(&id).expect("running id has a record");
-        record.state = CampaignState::Completed;
-        record.incarnations += 1;
-        record.executed_jobs += run.stats.executed_jobs;
-        record.resumed_completions = run.stats.resumed_completions;
-        // `execution.jobs` counts only this incarnation's pool;
-        // `characterization.jobs` is the deterministic full job set
-        // (initial boards plus eviction retries), identical to an
-        // uninterrupted run — the right "exactly once" denominator.
-        record.jobs_total = report.characterization.jobs.len() as u64;
-        record.boards_characterized = report.characterization.stats.characterized;
-        record.total_savings_watts = report.characterization.stats.total_savings_watts;
+        self.transition(id, |record| {
+            record.state = CampaignState::Completed;
+            record.incarnations += 1;
+            record.executed_jobs += run.stats.executed_jobs;
+            record.resumed_completions = run.stats.resumed_completions;
+            // `execution.jobs` counts only this incarnation's pool;
+            // `characterization.jobs` is the deterministic full job set
+            // (initial boards plus eviction retries), identical to an
+            // uninterrupted run — the right "exactly once" denominator.
+            record.jobs_total = report.characterization.jobs.len() as u64;
+            record.boards_characterized = report.characterization.stats.characterized;
+            record.total_savings_watts = report.characterization.stats.total_savings_watts;
+        });
     }
 
     fn interrupt(&self, id: u64, interrupted: &FleetInterrupted) {
-        let mut inner = self.inner.lock().expect("runner lock poisoned");
-        let record = inner.records.get_mut(&id).expect("running id has a record");
-        record.state = CampaignState::Interrupted;
-        record.incarnations += 1;
-        record.executed_jobs += match interrupted {
-            FleetInterrupted::CoordinatorKilled { completions }
-            | FleetInterrupted::PoolLost { completions, .. } => *completions,
-        };
+        self.transition(id, |record| {
+            record.state = CampaignState::Interrupted;
+            record.incarnations += 1;
+            record.executed_jobs += match interrupted {
+                FleetInterrupted::CoordinatorKilled { completions }
+                | FleetInterrupted::PoolLost { completions, .. } => *completions,
+            };
+        });
     }
 
-    fn persist(&self) {
+    /// Applies one transition to a dequeued campaign's record and
+    /// persists the manifest before releasing the lock.
+    fn transition<R>(&self, id: u64, apply: impl FnOnce(&mut CampaignRecord) -> R) -> R {
+        let mut inner = self.lock();
+        let record = inner
+            .records
+            .get_mut(&id)
+            .expect("a dequeued id has a record");
+        let out = apply(record);
+        self.persist(&inner);
+        out
+    }
+
+    /// Writes the manifest atomically. The caller holds the runner lock,
+    /// so writes never interleave on the temporary file and the manifest
+    /// renamed last is the newest state.
+    fn persist(&self, inner: &Inner) {
         let Some(dir) = &self.data_dir else { return };
-        let manifest = {
-            let inner = self.inner.lock().expect("runner lock poisoned");
-            Manifest {
-                next_id: inner.next_id,
-                records: inner.records.values().cloned().collect(),
-            }
+        let manifest = Manifest {
+            next_id: inner.next_id,
+            records: inner.records.values().cloned().collect(),
         };
         let _ = std::fs::create_dir_all(dir);
         let tmp = dir.join("campaigns.json.tmp");
@@ -463,6 +448,22 @@ impl RunnerShared {
 
 fn campaign_dir(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("campaign-{id}"))
+}
+
+/// One past the highest id with a `campaign-<id>` journal directory.
+fn first_unjournaled_id(dir: &Path) -> u64 {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    entries
+        .filter_map(|entry| {
+            let id = entry
+                .file_name()
+                .to_str()?
+                .strip_prefix("campaign-")?
+                .parse::<u64>();
+            Some(id.ok()?.saturating_add(1))
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 fn load_manifest(dir: &Path) -> Option<Manifest> {
@@ -502,7 +503,7 @@ mod tests {
     use super::*;
 
     fn unique_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
         std::env::temp_dir().join(format!(
             "guardband_cp_{tag}_{}_{}",
@@ -633,6 +634,55 @@ mod tests {
         assert_eq!(state.snapshot().index.len(), 4);
         runner.drain();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lost_manifest_does_not_hand_out_a_journaled_id() {
+        let dir = unique_dir("lost_manifest");
+        let runner = CampaignRunner::open(Arc::new(ControlState::new()), &dir);
+        let first = runner.submit(CampaignSpec::new(2, 1)).unwrap();
+        wait_for("completion", || {
+            runner.record(first).unwrap().state == CampaignState::Completed
+        });
+        runner.drain();
+        drop(runner);
+        std::fs::remove_file(dir.join("campaigns.json")).unwrap();
+
+        // The reboot has no record of campaign 0, but its journal is on
+        // disk: the next campaign must not reuse that directory.
+        let runner = CampaignRunner::open(Arc::new(ControlState::new()), &dir);
+        let next = runner.submit(CampaignSpec::new(3, 2)).unwrap();
+        assert_eq!(next, first + 1, "campaign-{first}/ already holds a journal");
+        wait_for("completion after the lost manifest", || {
+            runner.record(next).unwrap().state == CampaignState::Completed
+        });
+        assert_eq!(runner.record(next).unwrap().boards_characterized, 3);
+        runner.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_runner_lock_still_serves_submit_and_record() {
+        let runner = CampaignRunner::in_memory(Arc::new(ControlState::new()));
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = runner.shared.inner.lock();
+                    panic!("a thread dies holding the runner lock");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(runner.shared.inner.is_poisoned());
+        // The executor still waits, dequeues and records the campaign
+        // through the poisoned lock.
+        let id = runner.submit(CampaignSpec::new(2, 3)).unwrap();
+        wait_for("completion under a poisoned lock", || {
+            runner.record(id).unwrap().state == CampaignState::Completed
+        });
+        assert_eq!(runner.records().len(), 1);
+        runner.drain();
+        assert_eq!(runner.submit(CampaignSpec::new(2, 3)), None);
     }
 
     #[test]

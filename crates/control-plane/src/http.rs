@@ -49,7 +49,7 @@ pub enum Method {
 }
 
 impl Method {
-    fn parse(token: &str) -> Option<Method> {
+    pub(crate) fn parse(token: &str) -> Option<Method> {
         if token.is_empty() || !token.bytes().all(|b| b.is_ascii_uppercase()) {
             return None;
         }
@@ -99,6 +99,11 @@ impl Request {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
+}
+
+/// A request target's path: everything before any `?query`.
+pub(crate) fn path(target: &str) -> &str {
+    target.split_once('?').map_or(target, |(path, _)| path)
 }
 
 /// Why a buffer failed to parse. Every variant maps to the 4xx/5xx the

@@ -12,6 +12,8 @@
 //! same seed yields the byte-identical trace — the reproducibility gate
 //! in `BENCH_serving.json`.
 
+use crate::http::Method;
+use crate::metrics::Route;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -225,22 +227,15 @@ impl LoadTrace {
         digest.finish()
     }
 
-    /// Requests per route label, for summaries.
+    /// Requests per route label, for summaries: each event labelled as
+    /// the server's metrics would count it.
     pub fn route_mix(&self) -> Vec<(String, usize)> {
         let mut mix: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
         for event in &self.events {
-            let label = if event.target.starts_with("/v1/safe-point/") {
-                "safe_point"
-            } else if event.target.starts_with("/v1/campaigns/") {
-                "campaign_status"
-            } else if event.target == "/v1/status" {
-                "status"
-            } else if event.target == "/metrics" {
-                "metrics"
-            } else {
-                "other"
-            };
-            *mix.entry(label).or_default() += 1;
+            let method =
+                Method::parse(&event.method).unwrap_or_else(|| Method::Other(event.method.clone()));
+            let route = Route::of(&method, &event.target);
+            *mix.entry(route.label()).or_default() += 1;
         }
         mix.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
     }

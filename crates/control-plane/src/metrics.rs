@@ -9,6 +9,7 @@
 //! only when a route's histogram first appears. The in-flight gauge is
 //! an atomic, read when `/metrics` is scraped.
 
+use crate::http::{path, Method};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use telemetry::metrics::{
@@ -21,14 +22,14 @@ const CONNECTIONS: &str = "control_plane_connections_total";
 /// Requests that failed HTTP parsing.
 const PARSE_ERRORS: &str = "control_plane_parse_errors_total";
 
-/// The routes the server distinguishes in metrics.
+/// The routes the server serves, and so distinguishes in metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `GET /v1/safe-point/{board}`
     SafePoint,
     /// `POST /v1/campaigns`
     CampaignSubmit,
-    /// `GET /v1/campaigns/{id}`
+    /// `GET /v1/campaigns` and `GET /v1/campaigns/{id}`
     CampaignStatus,
     /// `GET /v1/status`
     Status,
@@ -36,7 +37,7 @@ pub enum Route {
     Dispatch,
     /// `GET /metrics`
     Metrics,
-    /// Anything else (404s, parse failures, bad methods).
+    /// Anything else: every 404 and 405.
     Other,
 }
 
@@ -52,6 +53,23 @@ pub const ROUTES: [Route; 7] = [
 ];
 
 impl Route {
+    /// The URL table: the route a method and target select, ignoring
+    /// any `?query`. [`Router::handle`](crate::Router::handle) answers
+    /// by it and counts the request under it.
+    pub fn of(method: &Method, target: &str) -> Route {
+        let path = path(target);
+        match (method, path) {
+            (Method::Get, _) if path.starts_with("/v1/safe-point/") => Route::SafePoint,
+            (Method::Post, "/v1/campaigns") => Route::CampaignSubmit,
+            (Method::Get, "/v1/campaigns") => Route::CampaignStatus,
+            (Method::Get, _) if path.starts_with("/v1/campaigns/") => Route::CampaignStatus,
+            (Method::Get, "/v1/status") => Route::Status,
+            (Method::Get, "/v1/dispatch") => Route::Dispatch,
+            (Method::Get, "/metrics") => Route::Metrics,
+            _ => Route::Other,
+        }
+    }
+
     /// The `route` label value.
     pub fn label(self) -> &'static str {
         match self {
@@ -161,16 +179,6 @@ impl ServerMetrics {
         self.registry().counter_add(PARSE_ERRORS, 1);
     }
 
-    /// Requests observed across every route and status class.
-    pub fn requests_total(&self) -> u64 {
-        let registry = self.registry();
-        self.requests
-            .iter()
-            .flatten()
-            .map(|series| registry.counter(series))
-            .sum()
-    }
-
     /// Requests currently in flight.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
@@ -226,7 +234,6 @@ mod tests {
         m.observe(Route::SafePoint, 200, 2e-5);
         m.observe(Route::SafePoint, 404, 1e-5);
         m.observe(Route::Status, 500, 1e-4);
-        assert_eq!(m.requests_total(), 4);
         let text = m.exposition(&MetricsSnapshot::default());
         assert!(
             text.contains("control_plane_requests_total{route=\"safe_point\",status=\"2xx\"} 2")

@@ -1,17 +1,18 @@
 //! Request dispatch: maps parsed requests onto the serving state.
 //!
 //! The router is deliberately transport-free — `handle` takes a parsed
-//! [`Request`] and returns a [`Response`], nothing else — so the TCP
-//! worker pool, the integration tests and the in-process serving bench
-//! all exercise the *same* code path. `BENCH_serving.json` therefore
-//! measures real dispatch + lookup + serialization cost, not a
-//! bench-only shortcut.
+//! [`Request`], returns a [`Response`] and counts the request under the
+//! [`Route`] that answered it — so the TCP worker pool, the integration
+//! tests and the in-process serving bench all exercise the *same* code
+//! path. `BENCH_serving.json` therefore measures the real cost of
+//! dispatch, lookup and serialization, not a bench-only shortcut.
 
 use crate::campaigns::{CampaignRunner, CampaignSpec, MAX_CAMPAIGN_BOARDS, MAX_CAMPAIGN_WORKERS};
-use crate::http::{Method, Request, Response};
+use crate::http::{path, Method, Request, Response};
 use crate::metrics::{Route, ServerMetrics};
 use crate::state::ControlState;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The control plane's request dispatcher.
 #[derive(Debug)]
@@ -50,53 +51,38 @@ impl Router {
         &self.metrics
     }
 
-    /// Classifies a target for metrics labels without handling it.
-    pub fn route_of(request: &Request) -> Route {
-        let path = request.target.split('?').next().unwrap_or("");
-        if path.starts_with("/v1/safe-point/") {
-            Route::SafePoint
-        } else if path == "/v1/campaigns" {
-            Route::CampaignSubmit
-        } else if path.starts_with("/v1/campaigns/") {
-            Route::CampaignStatus
-        } else if path == "/v1/status" {
-            Route::Status
-        } else if path == "/v1/dispatch" {
-            Route::Dispatch
-        } else if path == "/metrics" {
-            Route::Metrics
-        } else {
-            Route::Other
-        }
-    }
-
-    /// Dispatches one request. Infallible: every outcome, including
-    /// unknown routes and bad payloads, is a well-formed response.
+    /// Dispatches one request on its [`Route`] and records it in the
+    /// server metrics under that route. Infallible: every outcome,
+    /// including unknown routes and bad payloads, is a well-formed
+    /// response.
     pub fn handle(&self, request: &Request) -> Response {
-        let path = request.target.split('?').next().unwrap_or("");
-        match (&request.method, path) {
-            (Method::Get, _) if path.starts_with("/v1/safe-point/") => {
-                self.safe_point(request, &path["/v1/safe-point/".len()..])
-            }
-            (Method::Post, "/v1/campaigns") => self.submit_campaign(&request.body),
-            (Method::Get, "/v1/campaigns") => {
-                Response::json(200, serde::json::to_string(&self.runner.records()))
-            }
-            (Method::Get, _) if path.starts_with("/v1/campaigns/") => {
-                self.campaign_status(&path["/v1/campaigns/".len()..])
-            }
-            (Method::Get, "/v1/status") => {
+        let started = Instant::now();
+        let route = Route::of(&request.method, &request.target);
+        let path = path(&request.target);
+        let response = match route {
+            Route::SafePoint => self.safe_point(request, &path["/v1/safe-point/".len()..]),
+            Route::CampaignSubmit => self.submit_campaign(&request.body),
+            Route::CampaignStatus => match path.strip_prefix("/v1/campaigns/") {
+                Some(id) => self.campaign_status(id),
+                None => Response::json(200, serde::json::to_string(&self.runner.records())),
+            },
+            Route::Status => {
                 Response::json(200, serde::json::to_string(self.state.status().as_ref()))
             }
-            (Method::Get, "/v1/dispatch") => {
+            Route::Dispatch => {
                 Response::json(200, serde::json::to_string(self.state.dispatch().as_ref()))
             }
-            (Method::Get, "/metrics") => {
+            Route::Metrics => {
                 Response::text(200, self.metrics.exposition(&self.state.base_metrics()))
             }
-            (Method::Post, _) | (Method::Get, _) => Response::error(404, "no such route"),
-            (Method::Other(_), _) => Response::error(405, "method not allowed"),
-        }
+            Route::Other => match request.method {
+                Method::Other(_) => Response::error(405, "method not allowed"),
+                Method::Get | Method::Post => Response::error(404, "no such route"),
+            },
+        };
+        self.metrics
+            .observe(route, response.status, started.elapsed().as_secs_f64());
+        response
     }
 
     fn safe_point(&self, request: &Request, board: &str) -> Response {
@@ -198,20 +184,56 @@ mod tests {
     }
 
     #[test]
-    fn routes_classify_for_metrics() {
-        assert_eq!(Router::route_of(&get("/v1/safe-point/3")), Route::SafePoint);
-        assert_eq!(
-            Router::route_of(&post("/v1/campaigns", "{}")),
-            Route::CampaignSubmit
-        );
-        assert_eq!(
-            Router::route_of(&get("/v1/campaigns/0")),
-            Route::CampaignStatus
-        );
-        assert_eq!(Router::route_of(&get("/v1/status")), Route::Status);
-        assert_eq!(Router::route_of(&get("/v1/dispatch")), Route::Dispatch);
-        assert_eq!(Router::route_of(&get("/metrics")), Route::Metrics);
-        assert_eq!(Router::route_of(&get("/teapot")), Route::Other);
+    fn the_route_table_classifies_method_and_target() {
+        let put = Method::Other("PUT".to_owned());
+        for (method, target, route) in [
+            (&Method::Get, "/v1/safe-point/3", Route::SafePoint),
+            (&Method::Get, "/v1/safe-point/3?fresh=1", Route::SafePoint),
+            (&Method::Post, "/v1/campaigns", Route::CampaignSubmit),
+            (&Method::Get, "/v1/campaigns", Route::CampaignStatus),
+            (&Method::Get, "/v1/campaigns/0", Route::CampaignStatus),
+            (&Method::Get, "/v1/status", Route::Status),
+            (&Method::Get, "/v1/dispatch", Route::Dispatch),
+            (&Method::Get, "/metrics", Route::Metrics),
+            (&Method::Get, "/teapot", Route::Other),
+            (&Method::Post, "/v1/status", Route::Other),
+            (&Method::Post, "/v1/safe-point/1", Route::Other),
+            (&Method::Post, "/v1/campaigns/0", Route::Other),
+            (&put, "/v1/status", Route::Other),
+        ] {
+            assert_eq!(Route::of(method, target), route, "{method} {target}");
+        }
+    }
+
+    #[test]
+    fn metrics_label_each_request_with_the_route_that_answered() {
+        let router = router();
+        let put = Request {
+            method: Method::Other("PUT".to_owned()),
+            ..get("/v1/status")
+        };
+        assert_eq!(router.handle(&get("/v1/campaigns")).status, 200);
+        assert_eq!(router.handle(&post("/v1/safe-point/1", "")).status, 404);
+        assert_eq!(router.handle(&post("/v1/status", "")).status, 404);
+        assert_eq!(router.handle(&put).status, 405);
+        let metrics = router.handle(&get("/metrics"));
+        let text = std::str::from_utf8(&metrics.body).unwrap();
+        let series = |route: &str, class: &str| {
+            format!("control_plane_requests_total{{route=\"{route}\",status=\"{class}\"}}")
+        };
+        for (route, class, count) in [("campaign_status", "2xx", 1), ("other", "4xx", 3)] {
+            let line = format!("{} {count}", series(route, class));
+            assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+        }
+        for (route, class) in [
+            ("campaign_submit", "2xx"),
+            ("safe_point", "4xx"),
+            ("status", "4xx"),
+        ] {
+            let series = series(route, class);
+            assert!(!text.contains(&series), "`{series}` counted in:\n{text}");
+        }
+        router.runner.drain();
     }
 
     fn get_with(target: &str, header: (&str, &str)) -> Request {

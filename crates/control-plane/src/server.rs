@@ -25,10 +25,11 @@
 //! [`ServerHandle::shutdown`] follows the SIGTERM choreography: stop
 //! accepting (new connections are refused at the OS level once the
 //! listener closes), let in-flight connections finish their current
-//! request, drain the campaign runner (which persists its manifest), and
-//! join every thread. The drain/restart test in `campaigns.rs` proves
-//! the stronger property — even a *hard* kill mid-campaign loses no
-//! work — so the graceful path here only has to be prompt.
+//! request, drain the campaign runner (whose manifest already holds
+//! every transition), and join every thread. The drain/restart test in
+//! `campaigns.rs` proves the stronger property — even a *hard* kill
+//! mid-campaign loses no work — so the graceful path here only has to
+//! be prompt.
 
 use crate::http::{parse_request, Limits, Parsed, Response};
 use crate::router::Router;
@@ -38,7 +39,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
@@ -86,14 +87,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The router behind this server.
-    pub fn router(&self) -> &Arc<Router> {
-        &self.router
-    }
-
     /// Graceful drain: stop accepting, finish in-flight connections,
-    /// drain the campaign runner (persisting its manifest), join every
-    /// thread. Idempotent per handle; blocks until quiescent.
+    /// drain the campaign runner, join every thread. Idempotent per handle; blocks until quiescent.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -190,18 +185,12 @@ fn serve_connection(mut stream: TcpStream, router: &Router, config: &ServerConfi
             match parse_request(&buf, &config.limits) {
                 Ok(Parsed::Complete { request, consumed }) => {
                     buf.drain(..consumed);
+                    // In flight until the response is written.
                     let _guard = router.metrics().begin_request();
-                    let started = Instant::now();
-                    let route = Router::route_of(&request);
                     let mut response = router.handle(&request);
                     if request.wants_close() {
                         response.close = true;
                     }
-                    router.metrics().observe(
-                        route,
-                        response.status,
-                        started.elapsed().as_secs_f64(),
-                    );
                     if stream.write_all(&response.encode()).is_err() || response.close {
                         return;
                     }

@@ -22,7 +22,10 @@
 //! * a lookup that raced the swap serves the *previous* complete
 //!   version, which is exactly the consistency an epoch-versioned
 //!   database wants;
-//! * a roll costs O(boards) however many epochs came before it.
+//! * a roll costs O(boards) however many epochs came before it;
+//! * a thread that panics while holding one of these locks stops
+//!   nothing: every published value is read and replaced through a
+//!   poisoned lock, since no critical section can leave it half-written.
 
 use guardband_core::epoch::LatestIndex;
 use guardband_core::safepoint::SafePointStore;
@@ -163,6 +166,27 @@ pub struct DispatchBoardStatus {
     pub margin_decay_mv: i64,
 }
 
+/// One published value: readers clone the current `Arc`, writers swap
+/// in a whole new one.
+///
+/// The lock is read through a poisoned state. Each critical section is
+/// one `Arc` clone or one pointer store, so the value is whole at every
+/// unlock, whatever panicked while holding it.
+#[derive(Debug, Default)]
+struct Published<T>(RwLock<Arc<T>>);
+
+impl<T> Published<T> {
+    /// The current value: one brief read lock and an `Arc` clone.
+    fn load(&self) -> Arc<T> {
+        Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publishes `value`; readers holding the previous one keep it.
+    fn store(&self, value: T) {
+        *self.0.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(value);
+    }
+}
+
 /// The serving state shared by every worker thread.
 #[derive(Debug, Default)]
 pub struct ControlState {
@@ -171,13 +195,13 @@ pub struct ControlState {
     /// epoch.
     roll: Mutex<()>,
     /// The served snapshot, swapped whole on every publish.
-    snapshot: RwLock<Arc<SafePointSnapshot>>,
+    snapshot: Published<SafePointSnapshot>,
     /// The served health summary.
-    status: RwLock<Arc<StatusSnapshot>>,
+    status: Published<StatusSnapshot>,
     /// The served dispatch summary.
-    dispatch: RwLock<Arc<DispatchStatus>>,
+    dispatch: Published<DispatchStatus>,
     /// Campaign-derived metrics merged into `/metrics` output.
-    base_metrics: RwLock<Arc<MetricsSnapshot>>,
+    base_metrics: Published<MetricsSnapshot>,
 }
 
 impl ControlState {
@@ -189,15 +213,12 @@ impl ControlState {
     /// The current snapshot — the lookup hot path. Cost: one brief read
     /// lock and an `Arc` clone.
     pub fn snapshot(&self) -> Arc<SafePointSnapshot> {
-        self.snapshot
-            .read()
-            .expect("snapshot lock poisoned")
-            .clone()
+        self.snapshot.load()
     }
 
     /// The current health summary.
     pub fn status(&self) -> Arc<StatusSnapshot> {
-        self.status.read().expect("status lock poisoned").clone()
+        self.status.load()
     }
 
     /// Replaces the health summary (stamping it with the current
@@ -217,34 +238,28 @@ impl ControlState {
                     .map(|decay| (board, decay))
             })
             .collect();
-        *self.status.write().expect("status lock poisoned") = Arc::new(status);
+        self.status.store(status);
     }
 
     /// The served dispatch summary.
     pub fn dispatch(&self) -> Arc<DispatchStatus> {
-        self.dispatch
-            .read()
-            .expect("dispatch lock poisoned")
-            .clone()
+        self.dispatch.load()
     }
 
     /// Replaces the dispatch summary (the economic dispatcher publishes
     /// one after every run).
     pub fn set_dispatch(&self, status: DispatchStatus) {
-        *self.dispatch.write().expect("dispatch lock poisoned") = Arc::new(status);
+        self.dispatch.store(status);
     }
 
     /// The campaign-derived metrics base merged into `/metrics`.
     pub fn base_metrics(&self) -> Arc<MetricsSnapshot> {
-        self.base_metrics
-            .read()
-            .expect("metrics lock poisoned")
-            .clone()
+        self.base_metrics.load()
     }
 
     /// Replaces the campaign-derived metrics base.
     pub fn set_base_metrics(&self, snapshot: MetricsSnapshot) {
-        *self.base_metrics.write().expect("metrics lock poisoned") = Arc::new(snapshot);
+        self.base_metrics.store(snapshot);
     }
 
     /// Folds one epoch's store into a copy of the served index and
@@ -267,12 +282,11 @@ impl ControlState {
         // Only rolls swap the snapshot, and they hold the roll lock, so
         // the served version is the latest one issued.
         let version = served.version + 1;
-        let next = Arc::new(SafePointSnapshot {
+        self.snapshot.store(SafePointSnapshot {
             version,
             latest_epoch,
             index,
         });
-        *self.snapshot.write().expect("snapshot lock poisoned") = next;
         version
     }
 }
@@ -441,6 +455,28 @@ mod tests {
         for board in 0..2 {
             assert_eq!(snapshot.index.entry(board).unwrap().trend.epochs(), 100);
         }
+    }
+
+    #[test]
+    fn poisoned_cells_keep_serving_and_publishing() {
+        let state = ControlState::new();
+        state.roll_epoch(0, &one_board_store(7, 0, 905));
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = (state.snapshot.0.write(), state.status.0.write());
+                    panic!("a publisher dies holding both locks");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(state.snapshot.0.is_poisoned() && state.status.0.is_poisoned());
+        assert_eq!(state.snapshot().lookup(7).unwrap().epoch, 0);
+        assert_eq!(state.status().snapshot_version, 0);
+        let version = state.roll_epoch(12, &one_board_store(7, 12, 925));
+        assert_eq!(state.snapshot().lookup(7).unwrap().epoch, 12);
+        state.set_status(StatusSnapshot::default());
+        assert_eq!(state.status().snapshot_version, version);
     }
 
     mod folding {

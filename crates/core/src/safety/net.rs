@@ -480,11 +480,7 @@ impl SafetyNet {
                 self.epochs_since_sentinel = 0;
                 let report = self.sentinel.check(server, core.pmd());
                 recover_board(server, &self.config.retry);
-                signal.ce_events += report.ce_events;
-                signal.ue |= report.verdict == SentinelVerdict::HwError;
-                signal.timeout |= report.verdict == SentinelVerdict::Timeout;
-                signal.sdc_checksum = report.verdict == SentinelVerdict::ChecksumMismatch;
-                signal.sdc_vote = report.verdict == SentinelVerdict::VoteSplit;
+                signal.absorb(&report);
                 sentinel_verdict = Some(report.verdict);
             }
         }
