@@ -11,7 +11,7 @@
 //! `experiments lifetime` subcommand.
 
 use crate::{sweep_pools, POOLS};
-use lifetime::{run_deployment, DeploymentSpec, LifetimeConfig, LifetimeReport};
+use lifetime::{run_deployment, DeploymentSpec, LifetimeReport};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -70,7 +70,7 @@ pub fn run(seed: u64) -> LifetimeScale {
 pub fn run_sized(boards: u32, seed: u64, months: u32) -> LifetimeScale {
     let spec = DeploymentSpec::quick(boards, seed, months);
     let (identical, runs) = sweep_pools(
-        |workers| run_deployment(&spec, &LifetimeConfig::with_workers(workers)),
+        |workers| run_deployment(&spec, workers),
         LifetimeReport::chronicle_json,
     );
     let points = runs
@@ -84,7 +84,7 @@ pub fn run_sized(boards: u32, seed: u64, months: u32) -> LifetimeScale {
     let chronicle = &runs.last().expect("POOLS is non-empty").value.chronicle;
     let ablation = run_deployment(
         &spec.without_maintenance(),
-        &LifetimeConfig::with_workers(*POOLS.last().expect("POOLS is non-empty")),
+        *POOLS.last().expect("POOLS is non-empty"),
     );
     LifetimeScale {
         boards,

@@ -12,9 +12,7 @@
 //! counts.
 
 use crate::sweep_pools;
-use lifetime::deployment::{
-    run_deployment, DeploymentSpec, LifetimeConfig, LIFETIME_MARGIN_METRIC,
-};
+use lifetime::deployment::{run_deployment, DeploymentSpec, LIFETIME_MARGIN_METRIC};
 use observatory::{FleetTimeline, IncidentKind, StreamBuilder};
 use redteam::{replay_observatory, AttackScenario, REDTEAM_DROOP_METRIC};
 use serde::{Deserialize, Serialize};
@@ -138,8 +136,8 @@ fn run_with(
 
     // Aging ablation: serial-vs-pooled identity plus SDC incidents.
     let aging_spec = DeploymentSpec::quick(aging_boards, seed, months).without_maintenance();
-    let aging = run_deployment(&aging_spec, &LifetimeConfig::with_workers(4));
-    let aging_serial = run_deployment(&aging_spec, &LifetimeConfig::with_workers(1));
+    let aging = run_deployment(&aging_spec, 4);
+    let aging_serial = run_deployment(&aging_spec, 1);
     identical &= aging.observatory_json() == aging_serial.observatory_json();
     let aging_incidents = aging
         .observatory

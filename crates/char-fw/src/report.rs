@@ -311,8 +311,8 @@ mod tests {
         assert_eq!(reg.counter("recovery_retries_total"), 2);
         assert_eq!(reg.counter("recovery_backoff_ms_total"), 300);
         let retries = reg.histogram("run_reset_retries").unwrap();
-        assert_eq!(retries.count, 4);
-        assert_eq!(retries.counts[0], 3); // three runs with zero retries
+        assert_eq!(retries.count(), 4);
+        assert_eq!(retries.counts()[0], 3); // three runs with zero retries
         let text = reg.prometheus();
         assert!(text.contains("# TYPE campaign_runs_total counter"));
         assert!(text.contains("campaign_runs_total 4"));

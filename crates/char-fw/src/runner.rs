@@ -933,6 +933,69 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_that_still_lists_the_canary_kernels_resumes() {
+        // Checkpoints once carried the sentinel's two canary kernels; the
+        // kernels now come from the process's one suite, and a checkpoint
+        // that still lists them must decode and resume unchanged.
+        let campaign = {
+            let server = XGene2Server::new(SigmaBin::Ttt, 73);
+            let core = server.chip().most_robust_core();
+            let mut c = campaign_for(&["mcf"], vec![core]);
+            c.step_mv = 20;
+            c.repetitions = 3;
+            c
+        };
+        let plan = FaultPlan::hostile(74).with_sub_vmin_sdc();
+        let config = ResilienceConfig {
+            sentinel_every: 3,
+            ..ResilienceConfig::guarded()
+        };
+        let mut reference_server = XGene2Server::new(SigmaBin::Ttt, 73);
+        reference_server.install_fault_plan(plan.clone());
+        let reference = ResilientRunner::new(&mut reference_server, campaign.clone(), config)
+            .run_to_completion();
+
+        let mut server = XGene2Server::new(SigmaBin::Ttt, 73);
+        server.install_fault_plan(plan);
+        let mut runner = ResilientRunner::new(&mut server, campaign, config);
+        for _ in 0..9 {
+            assert!(runner.step());
+        }
+        let json = runner.checkpoint().to_json();
+        drop(runner);
+
+        // The kernel list as it was written: name, words, seed, golden.
+        let shapes = [(2048, 0x1A5C_0FFE_u64), (8192, 0x5EED_CAFE)];
+        let kernels: Vec<String> = workload_sim::canary::CanaryKernel::sentinel_suite()
+            .iter()
+            .zip(shapes)
+            .map(|(kernel, (words, seed))| {
+                format!(
+                    "{{\"name\":\"{}\",\"words\":{words},\"seed\":{seed},\"golden\":{}}}",
+                    kernel.name(),
+                    kernel.golden()
+                )
+            })
+            .collect();
+        let runner_key = "\"sentinel\":{\"next_kernel\":";
+        assert_eq!(json.matches(runner_key).count(), 1);
+        let legacy = json.replace(
+            runner_key,
+            &format!(
+                "\"sentinel\":{{\"kernels\":[{}],\"next_kernel\":",
+                kernels.join(",")
+            ),
+        );
+
+        let checkpoint = CampaignCheckpoint::from_json(&legacy).unwrap();
+        assert_eq!(checkpoint.to_json(), json, "the kernel list is ignored");
+        let mut resumed_server = XGene2Server::new(SigmaBin::Tff, 31337);
+        let resumed = ResilientRunner::resume(&mut resumed_server, checkpoint).run_to_completion();
+        assert_eq!(reference, resumed);
+        assert!(reference.safety.sentinel.checks >= 1);
+    }
+
+    #[test]
     fn strict_policy_issues_precautionary_reset_on_ue() {
         // Pin a single setup inside the failure band, where completed runs
         // report UEs. Under StrictCorrect every UE must power-cycle the

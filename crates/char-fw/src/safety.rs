@@ -560,10 +560,10 @@ impl SentinelStats {
     }
 }
 
-/// Schedules and executes DMR canary checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Schedules and executes DMR canary checks over the process's one
+/// [`CanaryKernel::sentinel_suite`].
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SentinelRunner {
-    kernels: Vec<CanaryKernel>,
     next_kernel: usize,
     /// Deterministic corruption-seed counter: each true SDC among canary
     /// runs draws the next seed, so corrupted checksums are reproducible.
@@ -572,21 +572,6 @@ pub struct SentinelRunner {
 }
 
 impl SentinelRunner {
-    /// A runner over a canary suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernels` is empty.
-    pub fn new(kernels: Vec<CanaryKernel>) -> Self {
-        assert!(!kernels.is_empty(), "a sentinel needs at least one canary");
-        SentinelRunner {
-            kernels,
-            next_kernel: 0,
-            fault_counter: 0,
-            stats: SentinelStats::default(),
-        }
-    }
-
     /// Bookkeeping so far.
     pub fn stats(&self) -> SentinelStats {
         self.stats
@@ -595,11 +580,12 @@ impl SentinelRunner {
     /// Runs one DMR check: the next canary (round-robin) on both cores of
     /// `pmd`, checksums compared to each other and to golden.
     pub fn check(&mut self, server: &mut XGene2Server, pmd: PmdId) -> SentinelReport {
-        let kernel = &self.kernels[self.next_kernel];
-        self.next_kernel = (self.next_kernel + 1) % self.kernels.len();
+        let suite = CanaryKernel::sentinel_suite();
+        let kernel = &suite[self.next_kernel];
+        self.next_kernel = (self.next_kernel + 1) % suite.len();
         let profile = kernel.profile();
         let [core_a, core_b] = pmd.cores();
-        let results = server.run_many(&[(core_a, &profile), (core_b, &profile)]);
+        let results = server.run_many(&[(core_a, profile), (core_b, profile)]);
 
         let mut ce_events = 0;
         let mut true_sdcs = 0;
@@ -672,12 +658,6 @@ impl SentinelRunner {
             ce_events,
             true_sdcs,
         }
-    }
-}
-
-impl Default for SentinelRunner {
-    fn default() -> Self {
-        SentinelRunner::new(CanaryKernel::sentinel_suite())
     }
 }
 
@@ -938,7 +918,7 @@ mod tests {
         // voting; the golden comparison still catches it. Drive the
         // checksum comparison directly (the runner draws distinct seeds,
         // so this is the model-level guarantee).
-        let kernel = CanaryKernel::int_alu();
+        let kernel = &CanaryKernel::sentinel_suite()[0];
         let a = kernel.run_corrupted(5);
         let b = kernel.run_corrupted(5);
         assert_eq!(a, b, "identical faults agree");

@@ -7,7 +7,9 @@
 //! installs — a registry, a capture sink at `Warn` and a 48-event flight
 //! recorder at `Debug`. What a step may still allocate is the run
 //! record's copy of the benchmark name and the amortized growth of the
-//! result's record list.
+//! result's record list; a step that also runs a sentinel check adds
+//! the check's list of two run results, and borrows the canary's
+//! profile from the process's one suite.
 
 use char_fw::resilience::ResilienceConfig;
 use char_fw::runner::ResilientRunner;
@@ -102,17 +104,42 @@ fn a_walk_step_under_a_job_context_allocates_at_most_twice() {
         assert!(runner.step(), "the warm-up stays inside the walk");
     }
 
-    let mut stepped = 0;
-    let allocations = allocations_in(|| {
-        for _ in 0..STEPS {
-            stepped += u64::from(runner.step());
-        }
-    });
-    assert_eq!(stepped, STEPS, "every measured step ran inside the walk");
+    // Per measured step: its allocations, and whether it ran a sentinel
+    // check that tripped no breaker. Sized up front, so recording a step
+    // allocates nothing.
+    let mut steps: Vec<(u64, bool)> = Vec::with_capacity(STEPS as usize);
+    for _ in 0..STEPS {
+        let safety_before = runner.result().safety;
+        let mut stepped = false;
+        let allocations = allocations_in(|| stepped = runner.step());
+        assert!(stepped, "every measured step runs inside the walk");
+        let safety = runner.result().safety;
+        let clean_check = safety.sentinel.checks > safety_before.sentinel.checks
+            && safety.breaker_trips == safety_before.breaker_trips;
+        steps.push((allocations, clean_check));
+    }
+
+    let allocations: u64 = steps.iter().map(|&(n, _)| n).sum();
     let per_step = allocations as f64 / STEPS as f64;
     assert!(
         per_step <= 2.0,
         "{allocations} allocations in {STEPS} walk steps ({per_step:.2} a step)"
+    );
+    let mut sentinel_steps: Vec<u64> = steps
+        .iter()
+        .filter(|&&(_, clean_check)| clean_check)
+        .map(|&(n, _)| n)
+        .collect();
+    assert!(
+        sentinel_steps.len() >= 20,
+        "only {} measured steps ran a clean sentinel check",
+        sentinel_steps.len()
+    );
+    sentinel_steps.sort_unstable();
+    let median = sentinel_steps[sentinel_steps.len() / 2];
+    assert!(
+        median <= 2,
+        "a sentinel step allocates {median} times in the median: {sentinel_steps:?}"
     );
     assert_eq!(
         registry.counter("campaign_runs_total"),

@@ -17,10 +17,12 @@
 //!   [`ControlState`] under the campaign's epoch, folds the campaign
 //!   counters into the `/metrics` base and refreshes `/v1/status`.
 //! * **Running → Interrupted** only when the durable run returns
-//!   [`FleetInterrupted`] — a crash (or an injected one). Interrupted
-//!   campaigns are *not* silently retried in-process; like a killed
-//!   coordinator they resume on the next boot, from their journal, so a
-//!   drain that races a crash can never double-run a job.
+//!   [`FleetInterrupted`] — a crash (or an injected one), or a journal
+//!   that began another campaign, which the run refuses before touching
+//!   it. Interrupted campaigns are *not* silently retried in-process;
+//!   like a killed coordinator they resume on the next boot, from their
+//!   journal, so a drain that races a crash can never double-run a job
+//!   (a foreign journal is refused again on every boot).
 //! * **Interrupted/Running/Queued → Queued** on boot: anything the
 //!   previous incarnation left unfinished re-enters the queue and
 //!   [`fleet::run_fleet_durable`] replays its journal, re-running only
@@ -411,6 +413,7 @@ impl RunnerShared {
             record.executed_jobs += match interrupted {
                 FleetInterrupted::CoordinatorKilled { completions }
                 | FleetInterrupted::PoolLost { completions, .. } => *completions,
+                FleetInterrupted::ForeignJournal { .. } => 0,
             };
         });
     }
@@ -657,6 +660,42 @@ mod tests {
             runner.record(next).unwrap().state == CampaignState::Completed
         });
         assert_eq!(runner.record(next).unwrap().boards_characterized, 3);
+        runner.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_foreign_journal_interrupts_its_campaign_and_the_executor_moves_on() {
+        let dir = unique_dir("foreign_journal");
+        let runner = CampaignRunner::open(Arc::new(ControlState::new()), &dir);
+        let first = runner.submit(CampaignSpec::new(2, 1)).unwrap();
+        wait_for("completion", || {
+            runner.record(first).unwrap().state == CampaignState::Completed
+        });
+        let done = runner.record(first).unwrap();
+        runner.drain();
+        drop(runner);
+
+        // The manifest now says campaign 0 was running seed 2, but its
+        // journal began seed 1.
+        let mut manifest = load_manifest(&dir).unwrap();
+        manifest.records[0].state = CampaignState::Running;
+        manifest.records[0].spec.seed = 2;
+        std::fs::write(
+            dir.join("campaigns.json"),
+            serde::json::to_string(&manifest),
+        )
+        .unwrap();
+
+        let runner = CampaignRunner::open(Arc::new(ControlState::new()), &dir);
+        let next = runner.submit(CampaignSpec::new(2, 3)).unwrap();
+        wait_for("the next campaign after the refused one", || {
+            runner.record(next).unwrap().state == CampaignState::Completed
+        });
+        let refused = runner.record(first).unwrap();
+        assert_eq!(refused.state, CampaignState::Interrupted);
+        assert_eq!(refused.incarnations, done.incarnations + 1);
+        assert_eq!(refused.executed_jobs, done.executed_jobs, "no job ran");
         runner.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

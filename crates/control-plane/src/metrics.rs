@@ -12,9 +12,7 @@
 use crate::http::{path, Method};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use telemetry::metrics::{
-    exponential_bounds, series_name, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
+use telemetry::metrics::{exponential_bounds, series_name, Histogram, MetricsSnapshot, Registry};
 
 /// Accepted connections.
 const CONNECTIONS: &str = "control_plane_connections_total";
@@ -184,12 +182,12 @@ impl ServerMetrics {
         self.in_flight.load(Ordering::Relaxed)
     }
 
-    /// One route's latency distribution as an inert snapshot (the
-    /// quantile substrate for `BENCH_serving.json`).
-    pub fn latency_snapshot(&self, route: Route) -> HistogramSnapshot {
+    /// A copy of one route's latency distribution (the quantile
+    /// substrate for `BENCH_serving.json`).
+    pub fn latency_snapshot(&self, route: Route) -> Histogram {
         self.registry()
             .histogram(&self.latency[route as usize])
-            .unwrap_or_else(|| Histogram::new(&self.bounds).snapshot())
+            .unwrap_or_else(|| Histogram::new(&self.bounds))
     }
 
     /// The full `/metrics` exposition: the campaign-derived base
@@ -263,7 +261,7 @@ mod tests {
             m.observe(Route::SafePoint, 200, 3e-6); // (2µs, 4µs]
         }
         let snap = m.latency_snapshot(Route::SafePoint);
-        assert_eq!(snap.count, 100);
+        assert_eq!(snap.count(), 100);
         let p99 = snap.p99().unwrap();
         assert!(p99 > 2e-6 && p99 <= 4e-6, "p99 {p99} outside its bucket");
         // Rendering replays the same distribution into the registry.

@@ -43,8 +43,8 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JournalEntry {
     /// The campaign's identity, written once when a fresh journal is
-    /// first used. Resuming a journal under a different campaign is a
-    /// caller bug and is rejected at replay time by the orchestrator.
+    /// first used. The orchestrator refuses to resume a journal under a
+    /// different campaign ([`crate::FleetInterrupted::ForeignJournal`]).
     CampaignBegun {
         /// Fleet size.
         boards: u32,

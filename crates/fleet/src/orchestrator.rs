@@ -306,9 +306,10 @@ impl Disruption {
     }
 }
 
-/// Why a durable incarnation stopped short of completion. Both variants
-/// are *recoverable*: restart [`run_fleet_durable`] on the same journal
-/// and it resumes from the intact prefix.
+/// Why a durable incarnation stopped short of completion. A killed
+/// coordinator or a lost pool is *recoverable*: restart
+/// [`run_fleet_durable`] on the same journal and it resumes from the
+/// intact prefix. A foreign journal is not: a restart refuses it again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetInterrupted {
     /// The injected coordinator kill fired.
@@ -324,6 +325,15 @@ pub enum FleetInterrupted {
         /// Workers lost before the pool emptied.
         workers_lost: u64,
     },
+    /// The journal began another campaign: its identity `(boards, seed,
+    /// max_attempts, requeue_backoff_mv)` differs from this run's. The
+    /// run appended nothing, and no restart on this journal can cure it.
+    ForeignJournal {
+        /// The identity the journal began with.
+        journal: (u32, u64, u32, u32),
+        /// The identity of the refused run.
+        run: (u32, u64, u32, u32),
+    },
 }
 
 impl std::fmt::Display for FleetInterrupted {
@@ -338,6 +348,11 @@ impl std::fmt::Display for FleetInterrupted {
             } => write!(
                 f,
                 "worker pool lost ({workers_lost} deaths) after {completions} completions"
+            ),
+            FleetInterrupted::ForeignJournal { journal, run } => write!(
+                f,
+                "journal began campaign {journal:?}, not {run:?} (boards, seed, \
+                 max_attempts, requeue_backoff_mv)"
             ),
         }
     }
@@ -392,13 +407,15 @@ enum WorkerMsg {
 /// # Errors
 ///
 /// Returns [`FleetInterrupted`] when an injected fault stops the
-/// incarnation. Restarting on the same journal resumes the campaign.
+/// incarnation; restarting on the same journal resumes the campaign.
+/// Returns [`FleetInterrupted::ForeignJournal`], before appending
+/// anything, when the journal belongs to a different campaign (another
+/// fleet size, seed or eviction policy); a restart refuses it again.
 ///
 /// # Panics
 ///
-/// Panics if `config.workers` or `config.max_attempts` is zero, if a
-/// worker thread panics, or if the journal belongs to a different
-/// campaign (different fleet size, seed or eviction policy).
+/// Panics if `config.workers` or `config.max_attempts` is zero, or if a
+/// worker thread panics.
 pub fn run_fleet_durable<S: JournalStore>(
     spec: &FleetSpec,
     campaign: &FleetCampaign,
@@ -438,17 +455,20 @@ pub fn run_fleet_durable<S: JournalStore>(
         } => Some((*boards, *seed, *max_attempts, *requeue_backoff_mv)),
         _ => None,
     });
+    let identity = (
+        spec.boards,
+        spec.seed,
+        config.max_attempts,
+        config.requeue_backoff_mv,
+    );
     match begun {
-        Some(identity) => assert_eq!(
-            identity,
-            (
-                spec.boards,
-                spec.seed,
-                config.max_attempts,
-                config.requeue_backoff_mv
-            ),
-            "journal belongs to a different campaign"
-        ),
+        Some(found) if found != identity => {
+            return Err(FleetInterrupted::ForeignJournal {
+                journal: found,
+                run: identity,
+            })
+        }
+        Some(_) => {}
         None => journal.append(&JournalEntry::CampaignBegun {
             boards: spec.boards,
             seed: spec.seed,
@@ -799,6 +819,36 @@ mod tests {
             replay.entries.last(),
             Some(JournalEntry::CampaignCompleted)
         ));
+    }
+
+    #[test]
+    fn a_journal_from_another_campaign_is_refused_untouched() {
+        let spec = FleetSpec::new(3, 2018);
+        let campaign = FleetCampaign::quick();
+        let config = FleetConfig::with_workers(2);
+        let mut journal = FleetJournal::new(MemStore::new());
+        run_fleet_durable(&spec, &campaign, &config, &mut journal, &Disruption::none())
+            .expect("no faults injected");
+        let before = journal.store_mut().clone();
+
+        let other = FleetSpec::new(3, 2019);
+        let err = run_fleet_durable(
+            &other,
+            &campaign,
+            &config,
+            &mut journal,
+            &Disruption::none(),
+        )
+        .expect_err("the journal began seed 2018");
+        assert_eq!(
+            err,
+            FleetInterrupted::ForeignJournal {
+                journal: (3, 2018, 2, 15),
+                run: (3, 2019, 2, 15),
+            }
+        );
+        assert_eq!(journal.store_mut(), &before, "nothing was appended");
+        assert!(err.to_string().contains("(3, 2018, 2, 15)"), "{err}");
     }
 
     #[test]

@@ -28,14 +28,14 @@ use dram_sim::retention::{RetentionModel, WeakCellPopulation};
 use fleet::job::{
     execute_in_env, BoardOutcome, FleetCampaign, FleetJob, JobEnvironment, WarmStartPriors,
 };
-use fleet::journal::{FleetJournal, JournalEntry, JournalStore};
+use fleet::journal::{FleetJournal, JournalEntry, JournalStore, MemStore};
 use fleet::maintenance::{BoardHealth, MaintenancePlan, MaintenancePolicy};
 use fleet::par_map_ordered;
 use fleet::population::{BoardSpec, FleetSpec};
 use guardband_core::epoch::VersionedSafePointStore;
 use guardband_core::safepoint::BoardSafePoint;
 use observatory::{BoardStream, DetectorConfig, Direction, Observatory, SloSpec, StreamBuilder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use telemetry::metrics::Registry;
 use telemetry::{counter, event, gauge, span, FieldValue, Level, Telemetry};
@@ -96,27 +96,6 @@ impl DeploymentSpec {
     }
 }
 
-/// Execution knobs. Like the fleet's config, changing these may change
-/// how fast the life plays out, never what happens in it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LifetimeConfig {
-    /// Worker threads per characterization round.
-    pub workers: usize,
-}
-
-impl LifetimeConfig {
-    /// A pool of `workers` threads.
-    pub fn with_workers(workers: usize) -> Self {
-        LifetimeConfig { workers }
-    }
-}
-
-impl Default for LifetimeConfig {
-    fn default() -> Self {
-        LifetimeConfig { workers: 4 }
-    }
-}
-
 /// Name of the zero-SDC-escape SLO declared by [`run_deployment`]: any
 /// board-month of sub-Vmin operation pages immediately.
 pub const LIFETIME_SDC_SLO: &str = "zero-sdc-exposure";
@@ -155,19 +134,18 @@ impl std::fmt::Display for LifetimeInterrupted {
     }
 }
 
-/// Plays the fleet's whole service life. See the module docs for the
-/// loop and the determinism argument.
+/// Plays the fleet's whole service life on a pool of `workers` threads:
+/// [`run_deployment_durable`] over a fresh in-memory journal with no
+/// interrupt. See the module docs for the loop and the determinism
+/// argument.
 ///
 /// # Panics
 ///
-/// Panics if `config.workers` is zero or a worker thread panics.
-pub fn run_deployment(spec: &DeploymentSpec, config: &LifetimeConfig) -> LifetimeReport {
-    match run_deployment_with(spec, config, &mut |_, jobs| {
-        Ok(run_round(jobs, &spec.campaign, config.workers))
-    }) {
-        Ok(report) => report,
-        Err(_) => unreachable!("the plain round executor never interrupts"),
-    }
+/// Panics if `workers` is zero or a worker thread panics.
+pub fn run_deployment(spec: &DeploymentSpec, workers: usize) -> LifetimeReport {
+    let mut journal = FleetJournal::new(MemStore::new());
+    run_deployment_durable(spec, workers, &mut journal, None)
+        .expect("an uninterrupted run on a fresh journal completes")
 }
 
 /// [`run_deployment`] with crash consistency: every completed
@@ -194,13 +172,14 @@ pub fn run_deployment(spec: &DeploymentSpec, config: &LifetimeConfig) -> Lifetim
 ///
 /// # Panics
 ///
-/// Panics if `config.workers` is zero or a worker thread panics.
+/// Panics if `workers` is zero or a worker thread panics.
 pub fn run_deployment_durable<S: JournalStore>(
     spec: &DeploymentSpec,
-    config: &LifetimeConfig,
+    workers: usize,
     journal: &mut FleetJournal<S>,
     interrupt_after_rounds: Option<u64>,
 ) -> Result<LifetimeReport, LifetimeInterrupted> {
+    assert!(workers > 0, "lifetime needs at least one worker");
     let replay = journal.replay();
     if let Some(damage) = &replay.damage {
         event!(
@@ -209,7 +188,7 @@ pub fn run_deployment_durable<S: JournalStore>(
             detail = damage.to_string(),
         );
     }
-    let mut recovered: std::collections::VecDeque<(u32, Vec<BoardOutcome>)> = replay
+    let mut recovered: VecDeque<(u32, Vec<BoardOutcome>)> = replay
         .entries
         .into_iter()
         .filter_map(|entry| match entry {
@@ -222,7 +201,11 @@ pub fn run_deployment_durable<S: JournalStore>(
         event!(Level::Info, "fleet_recovered", resumed = resumed_rounds);
     }
     let mut live_rounds = 0u64;
-    run_deployment_with(spec, config, &mut |month, jobs| {
+    // One round: replay it if the journal committed it, else execute it
+    // on the pool and journal it. Outcomes come back in `(board,
+    // attempt)` order — maintenance plans are not in board order, so the
+    // round sorts what `par_map_ordered` returns in plan order.
+    let mut round = |month: u32, jobs: &[(FleetJob, JobEnvironment)]| {
         // Deterministic replanning visits rounds in the same order every
         // incarnation, so committed rounds drain from the front.
         if recovered.front().is_some_and(|(m, _)| *m == month) {
@@ -232,7 +215,10 @@ pub fn run_deployment_durable<S: JournalStore>(
         if interrupt_after_rounds == Some(live_rounds) {
             return Err(LifetimeInterrupted { live_rounds });
         }
-        let outcomes = run_round(jobs, &spec.campaign, config.workers);
+        let mut outcomes = par_map_ordered(workers, jobs, |(job, env)| {
+            execute_in_env(job, &spec.campaign, env)
+        });
+        outcomes.sort_by_key(|o| (o.board, o.attempt));
         journal.append(&JournalEntry::RoundCommitted {
             month,
             outcomes: outcomes.clone(),
@@ -246,22 +232,8 @@ pub fn run_deployment_durable<S: JournalStore>(
         }
         live_rounds += 1;
         Ok(outcomes)
-    })
-}
+    };
 
-/// A round executor: month + scheduled jobs in, the round's outcomes
-/// out (or an interrupt).
-type RoundFn<'a> = dyn FnMut(u32, &[(FleetJob, JobEnvironment)]) -> Result<Vec<BoardOutcome>, LifetimeInterrupted>
-    + 'a;
-
-/// The deployment loop over an abstract round executor: the plain path
-/// executes rounds directly, the durable path replays or journals them.
-fn run_deployment_with(
-    spec: &DeploymentSpec,
-    config: &LifetimeConfig,
-    round: &mut RoundFn<'_>,
-) -> Result<LifetimeReport, LifetimeInterrupted> {
-    assert!(config.workers > 0, "lifetime needs at least one worker");
     let registry = Rc::new(Registry::new());
     let guard = Telemetry::new()
         .with_registry(Rc::clone(&registry))
@@ -475,7 +447,7 @@ fn run_deployment_with(
         campaign_counters: job_counters.into_iter().collect(),
     };
     let execution = LifetimeExecution {
-        workers: config.workers,
+        workers,
         jobs: jobs_total,
         rounds,
     };
@@ -526,21 +498,6 @@ fn build_job(
     )
 }
 
-/// Executes one round of jobs on a pool and returns the outcomes in
-/// `(board, attempt)` order — maintenance plans are not in board order,
-/// so the round sorts what [`par_map_ordered`] returns in plan order.
-fn run_round(
-    jobs: &[(FleetJob, JobEnvironment)],
-    campaign: &FleetCampaign,
-    workers: usize,
-) -> Vec<BoardOutcome> {
-    let mut outcomes = par_map_ordered(workers, jobs, |(job, env)| {
-        execute_in_env(job, campaign, env)
-    });
-    outcomes.sort_by_key(|o| (o.board, o.attempt));
-    outcomes
-}
-
 /// Commits one round's records as epoch `month` and folds each job's
 /// telemetry counters into the (sorted, deterministic) fleet sum.
 fn absorb(
@@ -564,8 +521,8 @@ mod tests {
     #[test]
     fn a_short_life_is_deterministic_and_deploys_everyone() {
         let spec = DeploymentSpec::quick(3, 2018, 6);
-        let a = run_deployment(&spec, &LifetimeConfig::with_workers(1));
-        let b = run_deployment(&spec, &LifetimeConfig::with_workers(1));
+        let a = run_deployment(&spec, 1);
+        let b = run_deployment(&spec, 1);
         assert_eq!(a.chronicle_json(), b.chronicle_json());
         assert_eq!(a.observatory_json(), b.observatory_json());
         let c = &a.chronicle;
@@ -598,8 +555,7 @@ mod tests {
     #[test]
     fn a_life_interrupted_after_every_round_resumes_byte_identically() {
         let spec = DeploymentSpec::quick(3, 2018, 6);
-        let config = LifetimeConfig::with_workers(2);
-        let baseline = run_deployment(&spec, &config);
+        let baseline = run_deployment(&spec, 2);
         // Crash after every single live round: each incarnation replays
         // the committed prefix from the journal, executes exactly one
         // new round, and dies.
@@ -608,7 +564,7 @@ mod tests {
         let resumed = loop {
             incarnations += 1;
             assert!(incarnations < 64, "crash-looped without progress");
-            match run_deployment_durable(&spec, &config, &mut journal, Some(1)) {
+            match run_deployment_durable(&spec, 2, &mut journal, Some(1)) {
                 Ok(report) => break report,
                 Err(interrupted) => assert_eq!(interrupted.live_rounds, 1),
             }
@@ -629,7 +585,7 @@ mod tests {
     #[test]
     fn the_ablation_never_recharacterizes() {
         let spec = DeploymentSpec::quick(3, 2018, 6).without_maintenance();
-        let report = run_deployment(&spec, &LifetimeConfig::with_workers(2));
+        let report = run_deployment(&spec, 2);
         assert_eq!(report.chronicle.recharacterizations, 0);
         assert_eq!(report.chronicle.epochs.epoch_count(), 1);
         assert!(!report.chronicle.maintenance_enabled);

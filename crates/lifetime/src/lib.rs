@@ -32,10 +32,13 @@
 //! # Examples
 //!
 //! ```
-//! use lifetime::{run_deployment, DeploymentSpec, LifetimeConfig};
+//! use lifetime::{run_deployment, DeploymentSpec};
 //!
+//! // Two boards, four months, on a pool of two workers. Each round is
+//! // journaled in memory as it commits, exactly as a restartable
+//! // `run_deployment_durable` journals it on disk.
 //! let spec = DeploymentSpec::quick(2, 2018, 4);
-//! let report = run_deployment(&spec, &LifetimeConfig::with_workers(2));
+//! let report = run_deployment(&spec, 2);
 //! assert_eq!(report.chronicle.epochs.epoch(0).unwrap().len(), 2);
 //! println!("{}", report.render());
 //! ```
@@ -47,8 +50,6 @@ pub mod deployment;
 pub mod drift;
 pub mod report;
 
-pub use deployment::{
-    run_deployment, run_deployment_durable, DeploymentSpec, LifetimeConfig, LifetimeInterrupted,
-};
+pub use deployment::{run_deployment, run_deployment_durable, DeploymentSpec, LifetimeInterrupted};
 pub use drift::DriftModel;
 pub use report::{LifetimeChronicle, LifetimeExecution, LifetimeReport, MonthRecord};

@@ -630,7 +630,7 @@ mod tests {
         observe!("lat_ms", 3.0);
         assert_eq!(reg.counter("runs_total"), 5);
         assert_eq!(reg.gauge("margin_mv"), Some(12.5));
-        assert_eq!(reg.histogram("lat_ms").unwrap().count, 1);
+        assert_eq!(reg.histogram("lat_ms").unwrap().count(), 1);
     }
 
     #[test]
@@ -647,7 +647,7 @@ mod tests {
         {
             time_scope!("step_seconds");
         }
-        assert_eq!(reg.histogram("step_seconds").unwrap().count, 1);
+        assert_eq!(reg.histogram("step_seconds").unwrap().count(), 1);
     }
 
     #[test]

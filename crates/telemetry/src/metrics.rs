@@ -53,8 +53,9 @@ pub fn exponential_bounds(start: f64, factor: f64, count: usize) -> Vec<f64> {
 }
 
 /// A fixed-bucket histogram (Prometheus semantics: cumulative `le`
-/// buckets plus an implicit `+Inf` overflow, a sum and a count).
-#[derive(Debug, Clone, PartialEq)]
+/// buckets plus an implicit `+Inf` overflow, a sum and a count). The
+/// registry keeps them live and [`MetricsSnapshot`] carries copies.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Finite upper bounds, strictly increasing.
     bounds: Vec<f64>,
@@ -123,6 +124,17 @@ impl Histogram {
         self.count += 1;
     }
 
+    /// Finite upper bounds, strictly increasing.
+    pub fn bounds(&self) -> &[f64] {
+        &self.bounds
+    }
+
+    /// Per-bucket (non-cumulative) counts; the last entry is the `+Inf`
+    /// overflow bucket.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -146,19 +158,44 @@ impl Histogram {
             .collect()
     }
 
-    /// The inert snapshot of this histogram.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self.counts.clone(),
-            sum: self.sum,
-            count: self.count,
-        }
-    }
-
-    /// Estimated `q`-quantile (see [`HistogramSnapshot::quantile`]).
+    /// Estimated `q`-quantile of the recorded distribution.
+    ///
+    /// Prometheus `histogram_quantile` semantics: the bucket containing
+    /// rank `q·count` is found and the value is interpolated linearly
+    /// within it, with the first bucket interpolating up from 0. Returns
+    /// `None` for an empty histogram or `q` outside `[0, 1]`; ranks that
+    /// land in the `+Inf` overflow bucket report the highest finite bound
+    /// (a lower bound on the truth, exactly as Prometheus does).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use telemetry::metrics::Histogram;
+    ///
+    /// let mut h = Histogram::new(&[10.0, 20.0]);
+    /// for _ in 0..4 {
+    ///     h.observe(15.0);
+    /// }
+    /// // All mass sits in (10, 20]: the median interpolates to 15.
+    /// assert_eq!(h.quantile(0.5), Some(15.0));
+    /// ```
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        bucket_quantile(&self.bounds, &self.counts, self.count, q)
+        if !(0.0..=1.0).contains(&q) || self.count == 0 {
+            return None;
+        }
+        let target = q * self.count as f64;
+        let mut cum = 0.0;
+        let mut lower = 0.0;
+        for (&bound, &in_bucket) in self.bounds.iter().zip(&self.counts) {
+            let in_bucket = in_bucket as f64;
+            if cum + in_bucket >= target && in_bucket > 0.0 {
+                let frac = ((target - cum) / in_bucket).clamp(0.0, 1.0);
+                return Some(lower + (bound - lower) * frac);
+            }
+            cum += in_bucket;
+            lower = bound;
+        }
+        self.bounds.last().copied()
     }
 
     /// Estimated median.
@@ -177,43 +214,6 @@ impl Histogram {
     }
 }
 
-/// Prometheus-style `histogram_quantile`: locate the bucket containing
-/// rank `q·count` and interpolate linearly inside it (the first bucket
-/// interpolates from 0). Observations in the `+Inf` overflow bucket are
-/// reported as the highest finite bound — a lower bound on the truth,
-/// exactly as Prometheus does.
-fn bucket_quantile(bounds: &[f64], counts: &[u64], count: u64, q: f64) -> Option<f64> {
-    if !(0.0..=1.0).contains(&q) || count == 0 {
-        return None;
-    }
-    let target = q * count as f64;
-    let mut cum = 0.0;
-    let mut lower = 0.0;
-    for (i, &bound) in bounds.iter().enumerate() {
-        let in_bucket = counts[i] as f64;
-        if cum + in_bucket >= target && in_bucket > 0.0 {
-            let frac = ((target - cum) / in_bucket).clamp(0.0, 1.0);
-            return Some(lower + (bound - lower) * frac);
-        }
-        cum += in_bucket;
-        lower = bound;
-    }
-    bounds.last().copied()
-}
-
-/// Serializable snapshot of a [`Histogram`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Finite upper bounds.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts (last entry is the `+Inf` overflow bucket).
-    pub counts: Vec<u64>,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
-}
-
 /// Serializable snapshot of a whole [`Registry`].
 ///
 /// Every vector is sorted by the full series name — the metric family
@@ -227,8 +227,8 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge values, sorted by full series name.
     pub gauges: Vec<(String, f64)>,
-    /// Histogram snapshots, sorted by full series name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    /// Histograms, sorted by full series name.
+    pub histograms: Vec<(String, Histogram)>,
 }
 
 /// Binary-searches a name-sorted series vector.
@@ -250,52 +250,9 @@ impl MetricsSnapshot {
         lookup(&self.gauges, name).copied()
     }
 
-    /// Looks up a histogram snapshot by full series name (binary
-    /// search).
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    /// Looks up a histogram by full series name (binary search).
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         lookup(&self.histograms, name)
-    }
-}
-
-impl HistogramSnapshot {
-    /// Estimated `q`-quantile of the recorded distribution.
-    ///
-    /// Prometheus `histogram_quantile` semantics: the bucket containing
-    /// rank `q·count` is found and the value is interpolated linearly
-    /// within it, with the first bucket interpolating up from 0. Returns
-    /// `None` for an empty histogram or `q` outside `[0, 1]`; ranks that
-    /// land in the `+Inf` overflow bucket report the highest finite bound.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use telemetry::metrics::Histogram;
-    ///
-    /// let mut h = Histogram::new(&[10.0, 20.0]);
-    /// for _ in 0..4 {
-    ///     h.observe(15.0);
-    /// }
-    /// let snap = h.snapshot();
-    /// // All mass sits in (10, 20]: the median interpolates to 15.
-    /// assert_eq!(snap.quantile(0.5), Some(15.0));
-    /// ```
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        bucket_quantile(&self.bounds, &self.counts, self.count, q)
-    }
-
-    /// Estimated median.
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// Estimated 95th percentile.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
-    /// Estimated 99th percentile.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
     }
 }
 
@@ -509,13 +466,7 @@ impl Registry {
                 restore(&mut inner.gauges, name, *v);
             }
             for (name, h) in &snapshot.histograms {
-                let histogram = Histogram {
-                    bounds: h.bounds.clone(),
-                    counts: h.counts.clone(),
-                    sum: h.sum,
-                    count: h.count,
-                };
-                restore(&mut inner.histograms, name, histogram);
+                restore(&mut inner.histograms, name, h.clone());
             }
         }
         reg
@@ -617,15 +568,15 @@ impl Registry {
         upsert(histograms, name, &sig, init, |h| h.observe(value));
     }
 
-    /// A histogram's snapshot, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
+    /// A copy of a histogram, if it exists.
+    pub fn histogram(&self, name: &str) -> Option<Histogram> {
         let (family, sig) = split_series(name);
-        find(&self.inner.borrow().histograms, family, sig).map(Histogram::snapshot)
+        find(&self.inner.borrow().histograms, family, sig).cloned()
     }
 
     /// Estimated `q`-quantile of a histogram (see
-    /// [`HistogramSnapshot::quantile`]); `None` if the histogram does not
-    /// exist or is empty.
+    /// [`Histogram::quantile`]); `None` if the histogram does not exist
+    /// or is empty.
     pub fn quantile(&self, name: &str, q: f64) -> Option<f64> {
         let (family, sig) = split_series(name);
         find(&self.inner.borrow().histograms, family, sig).and_then(|h| h.quantile(q))
@@ -656,7 +607,7 @@ impl Registry {
         MetricsSnapshot {
             counters: flatten(&inner.counters, |v| *v),
             gauges: flatten(&inner.gauges, |v| *v),
-            histograms: flatten(&inner.histograms, Histogram::snapshot),
+            histograms: flatten(&inner.histograms, Histogram::clone),
         }
     }
 
@@ -974,7 +925,7 @@ lat_ms_count{board=\"b2\"} 1
         // The constructor accepts them (they satisfy Histogram::new's
         // finite/increasing contract by construction).
         let h = Histogram::exponential(1e-6, 10.0, 7);
-        assert_eq!(h.snapshot().bounds, bounds);
+        assert_eq!(h.bounds(), bounds);
     }
 
     #[test]

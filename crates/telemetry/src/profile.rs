@@ -56,8 +56,8 @@ mod tests {
             let _t = WallTimer::start("search_seconds");
         }
         let h = reg.histogram("search_seconds").unwrap();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.bounds, WALL_SECONDS_BUCKETS.to_vec());
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.bounds(), WALL_SECONDS_BUCKETS);
     }
 
     #[test]

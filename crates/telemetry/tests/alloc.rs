@@ -130,7 +130,7 @@ fn a_job_shaped_context_allocates_nothing_in_steady_state() {
     assert!(capture.is_empty(), "nothing reached the Warn capture");
     assert_eq!(registry.counter("campaign_runs_total"), WARM_UP + STEPS);
     assert_eq!(
-        registry.histogram("step_wall_seconds").map(|h| h.count),
+        registry.histogram("step_wall_seconds").map(|h| h.count()),
         Some(WARM_UP + STEPS)
     );
 }

@@ -6,8 +6,9 @@
 //! guardband can *observe* one is to run a workload whose correct output
 //! is known in advance and compare. These canaries are that workload: tiny
 //! deterministic integer/float kernels whose full execution folds into a
-//! single 64-bit checksum, with the golden value precomputed at
-//! construction so a sentinel check is one equality test.
+//! single 64-bit checksum, with the golden value precomputed when the
+//! process first builds the suite so a sentinel check is one equality
+//! test.
 //!
 //! Two properties matter:
 //!
@@ -25,59 +26,63 @@
 //! corrupted executions without needing oracle access to outcomes.
 
 use rand::{fnv1a, splitmix64, FNV_OFFSET};
-use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 use xgene_sim::workload::{StressTarget, WorkloadProfile};
 
 /// A deterministic checksum kernel with a precomputed golden value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CanaryKernel {
-    name: String,
     /// Working-set length in 64-bit words.
     words: usize,
     /// Seed of the input stream.
     seed: u64,
     /// Checksum of a fault-free execution.
     golden: u64,
+    /// Electrical activity profile, named after the kernel.
+    profile: WorkloadProfile,
 }
 
 impl CanaryKernel {
-    /// Builds a kernel and precomputes its golden checksum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is zero.
-    pub fn new(name: impl Into<String>, words: usize, seed: u64) -> Self {
-        assert!(words > 0, "a canary needs a non-empty working set");
+    /// The sentinel pair, alternated by the sentinel scheduler: the
+    /// integer-pipeline `canary-int` (2,048 words of multiply/rotate
+    /// chains the ALUs see) and `canary-stream` (8,192 words,
+    /// representative of the cache-resident data an SDC would corrupt
+    /// in flight). Built, golden checksums included, on the first call;
+    /// every later call returns the same slice.
+    pub fn sentinel_suite() -> &'static [CanaryKernel] {
+        static SUITE: LazyLock<[CanaryKernel; 2]> = LazyLock::new(|| {
+            [
+                CanaryKernel::new("canary-int", 2048, 0x1A5C_0FFE),
+                CanaryKernel::new("canary-stream", 8192, 0x5EED_CAFE),
+            ]
+        });
+        &*SUITE
+    }
+
+    /// Builds a kernel and precomputes its golden checksum. Its profile
+    /// is a moderate, mixed-stress load: sentinels must not themselves
+    /// be viruses — they probe the operating point the *production*
+    /// workload runs at, without dragging Vmin up.
+    fn new(name: &str, words: usize, seed: u64) -> Self {
         let mut kernel = CanaryKernel {
-            name: name.into(),
             words,
             seed,
             golden: 0,
+            profile: WorkloadProfile::builder(name)
+                .activity(0.55)
+                .swing(0.35)
+                .resonance_alignment(0.05)
+                .memory_intensity(if words >= 4096 { 0.5 } else { 0.1 })
+                .target(StressTarget::IntAlu)
+                .build(),
         };
         kernel.golden = kernel.checksum(None);
         kernel
     }
 
-    /// The integer-pipeline canary: multiply/rotate chains the ALUs see.
-    pub fn int_alu() -> Self {
-        CanaryKernel::new("canary-int", 2048, 0x1A5C_0FFE)
-    }
-
-    /// The streaming canary: a longer working set, representative of the
-    /// cache-resident data an SDC would corrupt in flight.
-    pub fn stream() -> Self {
-        CanaryKernel::new("canary-stream", 8192, 0x5EED_CAFE)
-    }
-
-    /// The default sentinel pair: one short ALU-bound and one streaming
-    /// canary, alternated by the sentinel scheduler.
-    pub fn sentinel_suite() -> Vec<CanaryKernel> {
-        vec![CanaryKernel::int_alu(), CanaryKernel::stream()]
-    }
-
     /// Kernel name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.profile.name()
     }
 
     /// The precomputed golden checksum.
@@ -85,18 +90,9 @@ impl CanaryKernel {
         self.golden
     }
 
-    /// Electrical activity profile of the canary for the fault model: a
-    /// moderate, mixed-stress load (sentinels must not themselves be
-    /// viruses — they probe the operating point the *production* workload
-    /// runs at, without dragging Vmin up).
-    pub fn profile(&self) -> WorkloadProfile {
-        WorkloadProfile::builder(self.name.clone())
-            .activity(0.55)
-            .swing(0.35)
-            .resonance_alignment(0.05)
-            .memory_intensity(if self.words >= 4096 { 0.5 } else { 0.1 })
-            .target(StressTarget::IntAlu)
-            .build()
+    /// Electrical activity profile of the canary for the fault model.
+    pub fn profile(&self) -> &WorkloadProfile {
+        &self.profile
     }
 
     /// Executes the kernel fault-free and returns the checksum (always
@@ -150,9 +146,9 @@ mod tests {
 
     #[test]
     fn golden_is_reproducible() {
-        let a = CanaryKernel::int_alu();
-        let b = CanaryKernel::int_alu();
-        assert_eq!(a.golden(), b.golden());
+        let a = &CanaryKernel::sentinel_suite()[0];
+        let b = CanaryKernel::new("canary-int", 2048, 0x1A5C_0FFE);
+        assert_eq!(*a, b);
         assert_eq!(a.run_clean(), a.golden());
         for _ in 0..5 {
             assert_eq!(a.run_clean(), a.golden(), "checksum is pure");
@@ -160,11 +156,20 @@ mod tests {
     }
 
     #[test]
+    fn the_suite_is_built_once_per_process() {
+        assert!(std::ptr::eq(
+            CanaryKernel::sentinel_suite(),
+            CanaryKernel::sentinel_suite()
+        ));
+    }
+
+    #[test]
     fn suite_kernels_have_distinct_goldens() {
         let suite = CanaryKernel::sentinel_suite();
         assert_eq!(suite.len(), 2);
         assert_ne!(suite[0].golden(), suite[1].golden());
-        assert_ne!(suite[0].name(), suite[1].name());
+        assert_eq!(suite[0].name(), "canary-int");
+        assert_eq!(suite[1].name(), "canary-stream");
     }
 
     #[test]
@@ -186,7 +191,7 @@ mod tests {
 
     #[test]
     fn distinct_faults_usually_produce_distinct_checksums() {
-        let kernel = CanaryKernel::int_alu();
+        let kernel = &CanaryKernel::sentinel_suite()[0];
         let mut seen = std::collections::HashSet::new();
         for fault_seed in 0..256u64 {
             seen.insert(kernel.run_corrupted(fault_seed));
@@ -198,17 +203,9 @@ mod tests {
 
     #[test]
     fn profile_is_moderate() {
-        let p = CanaryKernel::stream().profile();
+        let p = CanaryKernel::sentinel_suite()[1].profile();
         assert!(p.droop_score() < 0.7, "sentinels must not be viruses");
         assert_eq!(p.target(), StressTarget::IntAlu);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_golden() {
-        let kernel = CanaryKernel::stream();
-        let text = serde::json::to_string(&kernel);
-        let back: CanaryKernel = serde::json::from_str(&text).unwrap();
-        assert_eq!(kernel, back);
-        assert_eq!(back.run_clean(), back.golden());
+        assert_eq!(p.name(), "canary-stream");
     }
 }

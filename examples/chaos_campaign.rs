@@ -5,7 +5,8 @@
 //! durable fleet run journals to a [`fleet::DirStore`] in a temp
 //! directory, gets its coordinator killed mid-campaign, and a "fresh
 //! process" reopens the same directory and finishes the job —
-//! re-running only what the journal does not already hold. Second, a
+//! re-running only what the journal does not already hold — while a
+//! run of another campaign is refused that journal. Second, a
 //! full seeded chaos campaign: a handcrafted plan that exercises every
 //! fault class (coordinator kill, mid-job worker death, bit-flipped
 //! checkpoint, torn journal tail, duplicated deliveries) runs under the
@@ -65,6 +66,22 @@ fn main() {
         resumed.stats.resumed_completions, resumed.stats.executed_jobs
     );
     assert!(resumed.stats.resumed_completions >= 2);
+
+    // A journal belongs to one campaign: another seed is refused before
+    // anything is appended, and no restart cures that.
+    let wal = std::fs::read(dir.join("fleet.wal")).expect("the journal is on disk");
+    let other = FleetSpec::new(4, 2019);
+    let refused = run_fleet_durable(
+        &other,
+        &campaign,
+        &config,
+        &mut journal,
+        &Disruption::none(),
+    )
+    .expect_err("the journal began seed 2018");
+    println!("another campaign on the same journal: {refused}\n");
+    assert!(matches!(refused, FleetInterrupted::ForeignJournal { .. }));
+    assert_eq!(std::fs::read(dir.join("fleet.wal")).ok(), Some(wal));
     std::fs::remove_dir_all(&dir).ok();
 
     // ---- Act 2: the full fault taxonomy under the chaos harness -----

@@ -52,7 +52,7 @@ fn main() {
     if let Some(margins) = registry.histogram("fleet_margin_mv") {
         println!(
             "  fleet_margin_mv: count {}, p50 {:.0} mV, p95 {:.0} mV",
-            margins.count,
+            margins.count(),
             margins.p50().unwrap_or(0.0),
             margins.p95().unwrap_or(0.0),
         );

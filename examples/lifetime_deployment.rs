@@ -15,18 +15,15 @@
 //! cargo run --example lifetime_deployment
 //! ```
 
-use armv8_guardbands::lifetime::{run_deployment, DeploymentSpec, LifetimeConfig};
+use armv8_guardbands::lifetime::{run_deployment, DeploymentSpec};
 
 fn main() {
     let spec = DeploymentSpec::quick(12, 2018, 48);
 
-    let maintained = run_deployment(&spec, &LifetimeConfig::with_workers(4));
+    let maintained = run_deployment(&spec, 4);
     println!("{}", maintained.render());
 
-    let ablation = run_deployment(
-        &spec.clone().without_maintenance(),
-        &LifetimeConfig::with_workers(4),
-    );
+    let ablation = run_deployment(&spec.clone().without_maintenance(), 4);
     println!("{}", ablation.render());
 
     // The headline: the scheduler re-characterizes every drifting board
@@ -51,7 +48,7 @@ fn main() {
 
     // And the whole four-year chronicle is byte-reproducible regardless
     // of how many workers play it.
-    let serial = run_deployment(&spec, &LifetimeConfig::with_workers(1));
+    let serial = run_deployment(&spec, 1);
     assert_eq!(
         serial.chronicle_json(),
         maintained.chronicle_json(),

@@ -9,7 +9,7 @@
 
 use armv8_guardbands::fleet::population::FleetSpec;
 use armv8_guardbands::lifetime::deployment::{
-    run_deployment, DeploymentSpec, LifetimeConfig, LIFETIME_MARGIN_METRIC,
+    run_deployment, DeploymentSpec, LIFETIME_MARGIN_METRIC,
 };
 use armv8_guardbands::observatory::IncidentKind;
 use armv8_guardbands::redteam::{replay_observatory, AttackScenario, REDTEAM_DROOP_METRIC};
@@ -66,7 +66,7 @@ fn main() {
     // margin-drift detector sees them coming months ahead.
     println!("\n== aging ablation under observation ==\n");
     let spec = DeploymentSpec::quick(12, 2018, 48).without_maintenance();
-    let deployment = run_deployment(&spec, &LifetimeConfig::with_workers(4));
+    let deployment = run_deployment(&spec, 4);
     print!("{}", deployment.observatory.render());
 
     println!("\nmargin-drift warnings vs first SDC exposure:");

@@ -6,7 +6,7 @@
 
 use armv8_guardbands::guardband_core::epoch::VersionedSafePointStore;
 use armv8_guardbands::guardband_core::safepoint::{BoardSafePoint, SafePointPolicy};
-use armv8_guardbands::lifetime::{run_deployment, DeploymentSpec, LifetimeConfig};
+use armv8_guardbands::lifetime::{run_deployment, DeploymentSpec};
 use armv8_guardbands::power_model::units::{Celsius, Milliseconds, Millivolts};
 use armv8_guardbands::xgene_sim::aging::{AgingModel, StressProfile};
 use armv8_guardbands::xgene_sim::sigma::SigmaBin;
@@ -22,8 +22,8 @@ use proptest::prelude::*;
 #[test]
 fn four_year_deployment_is_identical_safe_and_warm_started() {
     let spec = DeploymentSpec::quick(12, 2018, 48);
-    let serial = run_deployment(&spec, &LifetimeConfig::with_workers(1));
-    let pooled = run_deployment(&spec, &LifetimeConfig::with_workers(8));
+    let serial = run_deployment(&spec, 1);
+    let pooled = run_deployment(&spec, 8);
     assert_eq!(
         serial.chronicle_json(),
         pooled.chronicle_json(),
@@ -59,10 +59,7 @@ fn four_year_deployment_is_identical_safe_and_warm_started() {
         }
     }
 
-    let ablation = run_deployment(
-        &spec.clone().without_maintenance(),
-        &LifetimeConfig::with_workers(8),
-    );
+    let ablation = run_deployment(&spec.clone().without_maintenance(), 8);
     assert!(
         ablation.chronicle.production_sdc_board_months > 0,
         "the ablation must accumulate SDC exposure"
@@ -75,7 +72,7 @@ fn four_year_deployment_is_identical_safe_and_warm_started() {
 #[test]
 fn chronicle_telemetry_spans_scheduler_and_campaigns() {
     let spec = DeploymentSpec::quick(6, 2018, 10);
-    let report = run_deployment(&spec, &LifetimeConfig::with_workers(2));
+    let report = run_deployment(&spec, 2);
     let counters = &report.chronicle.campaign_counters;
     let value = |name: &str| {
         counters

@@ -14,7 +14,7 @@
 
 use armv8_guardbands::fleet::population::FleetSpec;
 use armv8_guardbands::lifetime::deployment::{
-    run_deployment, DeploymentSpec, LifetimeConfig, LIFETIME_MARGIN_METRIC,
+    run_deployment, DeploymentSpec, LIFETIME_MARGIN_METRIC,
 };
 use armv8_guardbands::observatory::{
     reconstruct, FleetTimeline, Incident, IncidentKind, SloAlert, SloMonitor, SloSpec,
@@ -160,9 +160,9 @@ fn the_observatory_reconstructs_the_redteam_attack_with_early_warning() {
 #[test]
 fn the_observatory_sees_the_aging_ablation_coming() {
     let spec = DeploymentSpec::quick(12, 2018, 48).without_maintenance();
-    let report = run_deployment(&spec, &LifetimeConfig::with_workers(4));
+    let report = run_deployment(&spec, 4);
     for workers in [1usize, 2, 8] {
-        let other = run_deployment(&spec, &LifetimeConfig::with_workers(workers));
+        let other = run_deployment(&spec, workers);
         assert_eq!(
             report.observatory_json(),
             other.observatory_json(),

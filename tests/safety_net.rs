@@ -99,10 +99,10 @@ fn injected_sub_vmin_sdcs_are_fully_detected_and_trip_the_breaker() {
     // genuinely execute sub-Vmin).
     let commanded = gov.choose(&mcf);
     let workload_vmin = chip.vmin(weak, &mcf, Megahertz::XGENE2_NOMINAL);
-    let canary_vmin = [CanaryKernel::int_alu(), CanaryKernel::stream()]
+    let canary_vmin = CanaryKernel::sentinel_suite()
         .iter()
         .map(|k| {
-            chip.vmin_with_active_cores(weak, &k.profile(), Megahertz::XGENE2_NOMINAL, 2)
+            chip.vmin_with_active_cores(weak, k.profile(), Megahertz::XGENE2_NOMINAL, 2)
                 .as_u32()
         })
         .min()

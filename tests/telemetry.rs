@@ -194,7 +194,7 @@ fn observed_campaigns_are_deterministic_across_identical_runs() {
     let counts = |s: &armv8_guardbands::telemetry::MetricsSnapshot| -> Vec<(String, u64)> {
         s.histograms
             .iter()
-            .map(|(n, h)| (n.clone(), h.count))
+            .map(|(n, h)| (n.clone(), h.count()))
             .collect()
     };
     assert_eq!(counts(&snap_a), counts(&snap_b), "histogram counts agree");
@@ -241,5 +241,5 @@ fn live_counters_agree_with_the_result_and_the_derived_registry() {
     let steps = registry
         .histogram("step_wall_seconds")
         .expect("step timer observed");
-    assert_eq!(steps.count, result.records.len() as u64);
+    assert_eq!(steps.count(), result.records.len() as u64);
 }
