@@ -8,8 +8,9 @@ use power_model::units::{Celsius, Milliseconds};
 
 fn bench_table1(c: &mut Criterion) {
     let model = RetentionModel::xgene2_micron();
+    // `generate` stores the recipe; the first read draws the cells.
     c.bench_function("table1/population_generation", |b| {
-        b.iter(|| WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 7))
+        b.iter(|| WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 7).len())
     });
     let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 7);
     c.bench_function("table1/dpbench_round", |b| {

@@ -435,24 +435,6 @@ impl CampaignCheckpoint {
     pub fn from_json(text: &str) -> Result<Self, serde::Error> {
         serde::json::from_str(text)
     }
-
-    /// Restores a checkpoint from sealed or legacy JSON.
-    ///
-    /// Sealed text ([`CampaignCheckpoint::to_sealed_json`]) is CRC- and
-    /// length-verified first; unsealed text takes the legacy decode path
-    /// unchanged, so checkpoints written before sealing existed (and
-    /// before any `#[serde(default)]` field) still load.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Corrupt`] when the sealed framing fails
-    /// (truncated, bit-flipped or header-torn file);
-    /// [`CheckpointError::Schema`] when the payload is intact but does
-    /// not decode.
-    pub fn from_sealed_json(text: &str) -> Result<Self, CheckpointError> {
-        let payload = crate::integrity::unseal(text).map_err(CheckpointError::Corrupt)?;
-        serde::json::from_str(payload).map_err(CheckpointError::Schema)
-    }
 }
 
 #[cfg(test)]

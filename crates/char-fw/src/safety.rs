@@ -312,11 +312,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// Smoothed CE rate.
-    pub fn ewma_ce_rate(&self) -> f64 {
-        self.ewma
-    }
-
     /// Smoothed cross-tenant droop estimate (mV).
     pub fn droop_ewma_mv(&self) -> f64 {
         self.droop_ewma

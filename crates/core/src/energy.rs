@@ -102,12 +102,6 @@ pub fn ladder_tradeoff(ladder: &[LadderRung]) -> Vec<TradeoffPoint> {
     TradeoffCurve::new(scaling, steps).points()
 }
 
-/// The published Fig. 5 curve (measured ladder), for comparison against
-/// the model-derived one.
-pub fn published_fig5() -> TradeoffCurve {
-    TradeoffCurve::xgene2_fig5()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@ use telemetry::Level;
 use xgene_sim::fault::RunOutcome;
 use xgene_sim::server::XGene2Server;
 use xgene_sim::topology::CoreId;
-use xgene_sim::watchdog::{DeadlineWatchdog, WatchdogConfig, WatchdogStats};
+use xgene_sim::watchdog::{DeadlineWatchdog, WatchdogConfig};
 use xgene_sim::workload::WorkloadProfile;
 
 /// Safety-net tuning.
@@ -228,11 +228,6 @@ impl SafetyNet {
     /// Sentinel bookkeeping.
     pub fn sentinel_stats(&self) -> SentinelStats {
         self.sentinel.stats()
-    }
-
-    /// Watchdog bookkeeping.
-    pub fn watchdog_stats(&self) -> WatchdogStats {
-        self.watchdog.stats()
     }
 
     /// Ground-truth audit (tests only — see [`SdcAudit`]).

@@ -432,9 +432,10 @@ impl DramArray {
             let row = row_from_flat(self.population.weak_row(ordinal));
             // Distinct words within the row that hold weak cells; the
             // row's cells ascend by column.
+            let cells = self.population.cells();
             let mut last_col = None;
             for &cell in self.population.cells_of(ordinal) {
-                let col = self.population.cells()[cell as usize].addr.word.col;
+                let col = cells[cell as usize].addr.word.col;
                 if last_col == Some(col) {
                     continue;
                 }
@@ -533,8 +534,9 @@ impl DramArray {
         let mut corrupted = code;
         let mut flipped_bits = Vec::new();
         let model = self.population.model();
+        let cells = self.population.cells();
         for &idx in self.population.cells_of(ordinal) {
-            let cell = &self.population.cells()[idx as usize];
+            let cell = &cells[idx as usize];
             if cell.addr.word != addr {
                 continue;
             }

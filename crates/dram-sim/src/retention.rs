@@ -269,31 +269,42 @@ impl PopulationSpec {
 /// assert!(pop.len() > 10_000); // tens of thousands of weak cells
 /// ```
 ///
-/// A generated population encodes as the recipe it was drawn from,
-/// `{model, spec, seed}`, and decoding draws it again; a population built
-/// from an explicit cell list ([`Self::from_cells`]: an aged one, or one
-/// decoded from a checkpoint that carried cells) encodes as `{model,
-/// cells}`. The row index is built on the first row lookup, so a board
-/// that is booted and never reads its DRAM pays for its cell list only.
+/// [`Self::generate`] stores the recipe, `{model, spec, seed}`, and draws
+/// the cells the first time something reads them: a board that is booted
+/// and never reads its DRAM holds no cells. A generated population
+/// encodes as its recipe whether or not it was drawn, and decoding a
+/// recipe draws nothing; a population built from an explicit cell list
+/// ([`Self::from_cells`]: an aged one, or one decoded from a checkpoint
+/// that carried cells) encodes as `{model, cells}`. The row index is
+/// built on the first row lookup.
 #[derive(Debug)]
 pub struct WeakCellPopulation {
     model: RetentionModel,
-    cells: Vec<WeakCell>,
-    /// The envelope and seed [`Self::generate`] drew the cells from;
+    /// The cells, shared by every clone: empty until the first read of a
+    /// generated population, filled at construction for an explicit list.
+    cells: Arc<OnceLock<Vec<WeakCell>>>,
+    /// The envelope and seed [`Self::generate`] draws the cells from;
     /// `None` for an explicit cell list.
     recipe: Option<(PopulationSpec, u64)>,
     index: OnceLock<RowIndex>,
 }
 
-/// Cloning builds the row index first, so that every clone shares it: a
-/// population is cloned to back another array, and arrays look rows up.
+/// A clone shares the cells, drawn or not, and never copies them. Cloning
+/// a drawn population builds the row index first, so that every clone
+/// shares it too: a population is cloned to back another array, and
+/// arrays look rows up. An undrawn one is cloned as it is, so a clone
+/// draws nothing either.
 impl Clone for WeakCellPopulation {
     fn clone(&self) -> Self {
+        let index = match self.cells.get() {
+            Some(_) => OnceLock::from(self.index().clone()),
+            None => OnceLock::new(),
+        };
         WeakCellPopulation {
             model: self.model.clone(),
-            cells: self.cells.clone(),
+            cells: Arc::clone(&self.cells),
             recipe: self.recipe,
-            index: OnceLock::from(self.index().clone()),
+            index,
         }
     }
 }
@@ -515,15 +526,27 @@ impl Hasher for WordHasher {
 }
 
 impl WeakCellPopulation {
-    /// Generates a population covering `spec`, deterministically from
-    /// `seed`.
+    /// A population covering `spec`, deterministic in `seed`. It stores
+    /// the recipe only: the cells are drawn the first time something
+    /// reads them ([`Self::cells`], [`Self::len`], a row lookup, a
+    /// retention query), once for the population and all its clones.
     ///
-    /// What one population costs: per bank and tail one Poisson draw and
-    /// one truncated-lognormal sampler, then per cell one retention draw,
-    /// one placement and one probe of the occupied-word set. The set and
-    /// the cell list are sized from the expected count before the first
-    /// draw, so neither grows while it fills.
+    /// What one draw costs: per bank and tail one Poisson draw and one
+    /// truncated-lognormal sampler, then per cell one retention draw, one
+    /// placement and one probe of the occupied-word set. The set and the
+    /// cell list are sized from the expected count before the first draw,
+    /// so neither grows while it fills.
     pub fn generate(model: &RetentionModel, spec: PopulationSpec, seed: u64) -> Self {
+        WeakCellPopulation {
+            model: model.clone(),
+            cells: Arc::default(),
+            recipe: Some((spec, seed)),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// Draws the cells of the recipe `(spec, seed)` under `model`.
+    fn draw(model: &RetentionModel, spec: PopulationSpec, seed: u64) -> Vec<WeakCell> {
         let mut rng = StdRng::seed_from_u64(seed);
         let tails = Tails::new(model, spec);
         let expected = tails.expected();
@@ -550,10 +573,7 @@ impl WeakCellPopulation {
                 }
             }
         }
-        WeakCellPopulation {
-            recipe: Some((spec, seed)),
-            ..WeakCellPopulation::from_cells(model.clone(), cells)
-        }
+        cells
     }
 
     /// Builds a population around an explicit cell list — the constructor
@@ -562,7 +582,7 @@ impl WeakCellPopulation {
     pub fn from_cells(model: RetentionModel, cells: Vec<WeakCell>) -> Self {
         WeakCellPopulation {
             model,
-            cells,
+            cells: Arc::new(OnceLock::from(cells)),
             recipe: None,
             index: OnceLock::new(),
         }
@@ -571,7 +591,7 @@ impl WeakCellPopulation {
     /// The row index, built on the first call.
     #[inline]
     fn index(&self) -> &RowIndex {
-        self.index.get_or_init(|| RowIndex::build(&self.cells))
+        self.index.get_or_init(|| RowIndex::build(self.cells()))
     }
 
     /// The model this population was generated from.
@@ -581,17 +601,23 @@ impl WeakCellPopulation {
 
     /// Number of weak cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells().len()
     }
 
     /// Whether the population is empty.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cells().is_empty()
     }
 
-    /// All weak cells.
+    /// All weak cells, drawn on the first call.
+    #[inline]
     pub fn cells(&self) -> &[WeakCell] {
-        &self.cells
+        self.cells.get_or_init(|| {
+            let (spec, seed) = self
+                .recipe
+                .expect("an explicit cell list fills its slot at construction");
+            WeakCellPopulation::draw(&self.model, spec, seed)
+        })
     }
 
     /// Weak cells located in the given row, as indices into [`Self::cells`],
@@ -648,7 +674,7 @@ impl WeakCellPopulation {
         context: CouplingContext,
     ) -> impl Iterator<Item = &WeakCell> {
         let model = &self.model;
-        self.cells
+        self.cells()
             .iter()
             .filter(move |c| c.decays_within(trefp, temp, context, model))
     }
@@ -664,7 +690,7 @@ impl WeakCellPopulation {
         context: CouplingContext,
     ) -> [Option<f64>; BANKS_PER_CHIP] {
         let mut floors = [None; BANKS_PER_CHIP];
-        for cell in &self.cells {
+        for cell in self.cells() {
             let retention = cell.retention_ms(temp, context, &self.model);
             let slot = &mut floors[cell.addr.word.bank.index()];
             *slot = Some(slot.map_or(retention, |floor: f64| floor.min(retention)));
@@ -692,14 +718,14 @@ impl Serialize for WeakCellPopulation {
         let model = entry("model", &self.model);
         Value::Map(match self.recipe {
             Some((spec, seed)) => vec![model, entry("spec", &spec), entry("seed", &seed)],
-            None => vec![model, entry("cells", &self.cells)],
+            None => vec![model, entry("cells", &self.cells())],
         })
     }
 }
 
-/// Decodes a recipe, `{model, spec, seed}`, by drawing the population
-/// again, or a cell list, `{model, cells}`, around those cells; the row
-/// index is built again on first use.
+/// Decodes a recipe, `{model, spec, seed}`, into an undrawn population
+/// that draws on its first read, or a cell list, `{model, cells}`, around
+/// those cells; the row index is built again on first use.
 ///
 /// A recipe decodes when generation can draw it: each tail's expected
 /// count per bank is finite and not negative, the counts sum to at most
@@ -1119,6 +1145,36 @@ mod tests {
         let row = pop.rows_with_cells().next().unwrap();
         assert_eq!(fresh.cells_in_row(row), pop.cells_in_row(row));
         assert!(fresh.index.get().is_some(), "a lookup builds the index");
+    }
+
+    #[test]
+    fn a_generated_population_draws_on_first_read_and_clones_share_the_draw() {
+        let model = RetentionModel::xgene2_micron();
+        let pop = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 2018);
+        assert!(pop.cells.get().is_none(), "generation draws nothing");
+        let text = serde::json::to_string(&pop);
+        assert!(pop.cells.get().is_none(), "encoding a recipe draws nothing");
+        let back: WeakCellPopulation = serde::json::from_str(&text).unwrap();
+        assert!(
+            back.cells.get().is_none(),
+            "decoding a recipe draws nothing"
+        );
+
+        // An undrawn population encodes to the same bytes as its drawn twin.
+        let drawn = WeakCellPopulation::generate(&model, PopulationSpec::dsn18(), 2018);
+        assert!(drawn.len() > 10_000);
+        assert_eq!(serde::json::to_string(&drawn), text);
+
+        // A clone shares the slot: whichever side draws, both hold the one
+        // cell list.
+        let copy = back.clone();
+        assert!(copy.cells.get().is_none(), "cloning draws nothing");
+        assert_eq!(copy.cells(), drawn.cells());
+        assert!(std::ptr::eq(back.cells(), copy.cells()));
+        assert!(back.cells.get().is_some(), "the clone drew for both");
+
+        let explicit = WeakCellPopulation::from_cells(model, drawn.cells().to_vec());
+        assert!(explicit.cells.get().is_some(), "an explicit list is drawn");
     }
 
     /// FNV-1a of the JSON of generated cells, recorded before generation

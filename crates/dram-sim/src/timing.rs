@@ -177,11 +177,6 @@ impl McuTimingModel {
         self.stats
     }
 
-    /// Current time in memory clocks.
-    pub fn now_clocks(&self) -> u64 {
-        self.now
-    }
-
     /// Services one word access; returns its latency in memory clocks
     /// (including any refresh stall it had to wait behind).
     pub fn access(&mut self, addr: WordAddr) -> u64 {

@@ -1,13 +1,15 @@
 //! The unit of fleet work: characterize one board, end to end.
 //!
 //! [`execute`] is a *pure function* of `(job, campaign, population
-//! envelope)` — it boots the board from its spec, runs the undervolt
-//! Vmin walk through `char-fw`'s resilient runner, probes the DRAM
-//! retention floor per bank, derives the deployable safe point and the
-//! power projection, and prices the whole thing in simulated
+//! envelope)` — it boots the board from its spec, probes the DRAM
+//! retention floor per bank, runs the undervolt Vmin walk through
+//! `char-fw`'s resilient runner, derives the deployable safe point and
+//! the power projection, and prices the whole thing in simulated
 //! board-seconds. No wall clock, no global state, no dependence on which
 //! worker runs it or when: this purity is the second pillar of the
-//! orchestrator's N-workers ≡ serial guarantee.
+//! orchestrator's N-workers ≡ serial guarantee. An eviction's follow-up
+//! attempt takes the probe's result from the attempt it follows instead
+//! of drawing the board's weak cells again; its outcome is the same.
 
 use crate::population::BoardSpec;
 use char_fw::resilience::ResilienceConfig;
@@ -219,7 +221,11 @@ pub struct BoardOutcome {
 
 /// Simulated boot time charged per job, seconds.
 const BOOT_SECONDS: f64 = 30.0;
-/// Simulated duration of the per-bank retention probe, seconds.
+/// Simulated duration of the per-bank retention probe, seconds. A
+/// follow-up that takes its probe's result from the attempt it follows
+/// is charged it all the same: the modeled campaign probes the board
+/// again, and only the simulation reuses the result instead of drawing
+/// the cells again.
 const RETENTION_PROBE_SECONDS: f64 = 120.0;
 
 /// Characterizes one board. Pure: the outcome depends only on the
@@ -229,9 +235,29 @@ pub fn execute(
     campaign: &FleetCampaign,
     population: PopulationSpec,
 ) -> BoardOutcome {
-    execute_with(job, campaign, population.max_trefp.as_f64(), None, || {
-        job.board.boot(population)
-    })
+    execute_following(job, campaign, population, None)
+}
+
+/// [`execute`], for a follow-up attempt given the per-bank safe refresh
+/// periods (`bank_safe_trefp_ms`) of the attempt it follows: the job
+/// takes them instead of reading the board's DRAM again. They are exact:
+/// the follow-up boots the same board from the same seed under the same
+/// campaign, and a CPU breaker trip leaves DRAM retention as it was. With
+/// `None` this is [`execute`].
+pub(crate) fn execute_following(
+    job: &FleetJob,
+    campaign: &FleetCampaign,
+    population: PopulationSpec,
+    bank_safe_trefp_ms: Option<&[f64]>,
+) -> BoardOutcome {
+    execute_with(
+        job,
+        campaign,
+        population.max_trefp.as_f64(),
+        None,
+        bank_safe_trefp_ms,
+        || job.board.boot(population),
+    )
 }
 
 /// Characterizes one board in an explicit physical environment — aged
@@ -248,6 +274,7 @@ pub fn execute_in_env(
         campaign,
         env.max_trefp_ms,
         env.warm_start.as_ref(),
+        None,
         || {
             XGene2Server::with_chip_and_population(
                 env.chip.clone(),
@@ -258,11 +285,15 @@ pub fn execute_in_env(
     )
 }
 
+/// One job: `inherited` is the per-bank safe refresh periods of the
+/// attempt a follow-up follows; without them the job reads the board's
+/// weak-cell population, drawing it.
 fn execute_with(
     job: &FleetJob,
     campaign: &FleetCampaign,
     max_trefp: f64,
     warm: Option<&WarmStartPriors>,
+    inherited: Option<&[f64]>,
     boot: impl FnOnce() -> XGene2Server,
 ) -> BoardOutcome {
     // Each job gets its own registry, capture sink and flight recorder
@@ -284,6 +315,24 @@ fn execute_with(
         .install();
 
     let mut server = boot();
+    // Per-bank retention floor → validated-safe refresh period, clamped
+    // between the nominal DDR3 period and the population envelope. It is
+    // read before the walk, so the walk's allocations never stack on the
+    // population's draw.
+    let bank_safe_trefp_ms: Vec<f64> = match inherited {
+        Some(trefp) => trefp.to_vec(),
+        None => server
+            .dram()
+            .population()
+            .min_retention_per_bank(campaign.retention_temperature, CouplingContext::WorstCase)
+            .iter()
+            .map(|floor| match floor {
+                Some(ms) => (ms / campaign.retention_margin)
+                    .clamp(Milliseconds::DDR3_NOMINAL_TREFP.as_f64(), max_trefp),
+                None => max_trefp,
+            })
+            .collect(),
+    };
     if let Some(plan) = campaign.fault_plan(&job.board) {
         server.install_fault_plan(plan);
     }
@@ -334,20 +383,6 @@ fn execute_with(
             worst + penalty.round() as u32
         });
 
-    // Per-bank retention floor → validated-safe refresh period. Clamped
-    // between the nominal DDR3 period and the population envelope.
-    let floors = server
-        .dram()
-        .population()
-        .min_retention_per_bank(campaign.retention_temperature, CouplingContext::WorstCase);
-    let bank_safe_trefp_ms: Vec<f64> = floors
-        .iter()
-        .map(|floor| match floor {
-            Some(ms) => (ms / campaign.retention_margin)
-                .clamp(Milliseconds::DDR3_NOMINAL_TREFP.as_f64(), max_trefp),
-            None => max_trefp,
-        })
-        .collect();
     let chip_safe_trefp = bank_safe_trefp_ms.iter().copied().fold(max_trefp, f64::min);
 
     let operating_point = rail_vmin_mv.map(|rail| {

@@ -3,8 +3,10 @@
 //! There is one coordinator loop, [`run_fleet_durable`]. It seeds a
 //! bounded FIFO [`FleetQueue`] with one job per board, runs them on a
 //! pool of worker threads, listens for outcomes, and re-queues any board
-//! the safety net evicted (breaker tripped) with a raised search floor —
-//! journaling every claim, completion and merge before acting on it.
+//! the safety net evicted (breaker tripped) with a raised search floor
+//! and the per-bank retention result of the attempt it follows, so the
+//! follow-up draws no DRAM — journaling every claim, completion and merge
+//! before acting on it.
 //! [`run_fleet`] is that loop over a fresh in-memory journal with no
 //! injected faults, so every fleet campaign runs the path the chaos
 //! harness certifies. When the last job lands the coordinator sorts
@@ -17,7 +19,7 @@
 
 use crate::job::{self, BoardOutcome, FleetCampaign, FleetJob};
 use crate::journal::{FleetJournal, JournalDamage, JournalEntry, JournalStore, MemStore};
-use crate::population::FleetSpec;
+use crate::population::{BoardSpec, FleetSpec};
 use crate::queue::FleetQueue;
 use crate::report::{FleetCharacterization, FleetExecution, FleetReport, JobSummary};
 use crate::schedule::ScheduleModel;
@@ -388,9 +390,44 @@ pub struct DurableRun {
     pub stats: DurableStats,
 }
 
+/// A queued job. A follow-up carries the per-bank safe refresh periods
+/// of the attempt it follows, so its worker reads no DRAM; the journal's
+/// `JobClaimed` frame records the job alone.
+struct Queued {
+    job: FleetJob,
+    bank_safe_trefp_ms: Option<Vec<f64>>,
+}
+
+impl Queued {
+    /// The first attempt at `board`, which probes its DRAM.
+    fn first(board: BoardSpec) -> Self {
+        Queued {
+            job: FleetJob {
+                board,
+                attempt: 0,
+                floor_override_mv: None,
+            },
+            bank_safe_trefp_ms: None,
+        }
+    }
+
+    /// The follow-up of `outcome` at the raised floor `floor_mv`,
+    /// inheriting its retention probe.
+    fn follow_up(spec: &FleetSpec, outcome: &BoardOutcome, floor_mv: u32) -> Self {
+        Queued {
+            job: FleetJob {
+                board: spec.board(outcome.board),
+                attempt: outcome.attempt + 1,
+                floor_override_mv: Some(floor_mv),
+            },
+            bank_safe_trefp_ms: Some(outcome.record.bank_safe_trefp_ms.clone()),
+        }
+    }
+}
+
 enum WorkerMsg {
     Done(BoardOutcome),
-    Died { worker: usize, in_flight: FleetJob },
+    Died { worker: usize, in_flight: Queued },
 }
 
 /// The fleet coordinator loop, crash-consistent: every claim, completion
@@ -515,24 +552,18 @@ pub fn run_fleet_durable<S: JournalStore>(
     // Expected-job closure: every board at attempt 0, plus the
     // eviction-predicate follow-up of every journaled completion.
     // Outstanding work is the closure minus what already completed.
-    let mut pending: Vec<FleetJob> = Vec::new();
+    // A follow-up inherits its retention probe from the journaled outcome
+    // it follows, as in the live loop.
+    let mut pending: Vec<Queued> = Vec::new();
     for board in spec.all_boards() {
         if !completed.contains_key(&(board.id, 0)) {
-            pending.push(FleetJob {
-                board,
-                attempt: 0,
-                floor_override_mv: None,
-            });
+            pending.push(Queued::first(board));
         }
     }
     for outcome in completed.values() {
         if let Some(floor) = eviction_floor(outcome, config) {
             if !completed.contains_key(&(outcome.board, outcome.attempt + 1)) {
-                pending.push(FleetJob {
-                    board: spec.board(outcome.board),
-                    attempt: outcome.attempt + 1,
-                    floor_override_mv: Some(floor),
-                });
+                pending.push(Queued::follow_up(spec, outcome, floor));
             }
         }
     }
@@ -572,7 +603,12 @@ pub fn run_fleet_durable<S: JournalStore>(
                             });
                             return jobs;
                         }
-                        let outcome = job::execute(&next, campaign, spec.population);
+                        let outcome = job::execute_following(
+                            &next.job,
+                            campaign,
+                            spec.population,
+                            next.bank_safe_trefp_ms.as_deref(),
+                        );
                         jobs += 1;
                         if tx.send(WorkerMsg::Done(outcome)).is_err() {
                             break;
@@ -585,17 +621,17 @@ pub fn run_fleet_durable<S: JournalStore>(
         drop(tx);
 
         // Every dispatch is journaled as a claim before the job is queued.
-        let claim = |journal: &mut FleetJournal<S>, fleet_job: FleetJob| {
+        let claim = |journal: &mut FleetJournal<S>, queued: Queued| {
             journal.append(&JournalEntry::JobClaimed {
-                board: fleet_job.board.id,
-                attempt: fleet_job.attempt,
-                floor_override_mv: fleet_job.floor_override_mv,
+                board: queued.job.board.id,
+                attempt: queued.job.attempt,
+                floor_override_mv: queued.job.floor_override_mv,
             });
-            queue.push(fleet_job);
+            queue.push(queued);
         };
         let mut outstanding: u64 = 0;
-        for fleet_job in pending {
-            claim(journal, fleet_job);
+        for queued in pending {
+            claim(journal, queued);
             outstanding += 1;
         }
 
@@ -663,12 +699,7 @@ pub fn run_fleet_durable<S: JournalStore>(
                                 attempt = outcome.attempt,
                                 raised_floor_mv = floor,
                             );
-                            let follow_up = FleetJob {
-                                board: spec.board(outcome.board),
-                                attempt: outcome.attempt + 1,
-                                floor_override_mv: Some(floor),
-                            };
-                            claim(journal, follow_up);
+                            claim(journal, Queued::follow_up(spec, &outcome, floor));
                             outstanding += 1;
                         }
                     }
@@ -879,6 +910,92 @@ mod tests {
             baseline.characterization_json(),
             resumed.report.characterization_json()
         );
+    }
+
+    /// A follow-up takes its retention probe from the attempt it follows:
+    /// in the live loop, in recovery (from a journaled outcome) and on a
+    /// dead worker's re-claim. Each such outcome must equal a fresh
+    /// `execute` of its job, which draws the board's DRAM again.
+    #[test]
+    fn an_inherited_retention_probe_equals_a_fresh_one() {
+        let spec = small_fleet();
+        let campaign = FleetCampaign::quick();
+        let config = FleetConfig::with_workers(2);
+        let baseline = run_fleet(&spec, &campaign, &config);
+        let mut journal = FleetJournal::new(MemStore::new());
+        let kill = Disruption {
+            kill_coordinator_after: Some(6),
+            ..Disruption::none()
+        };
+        run_fleet_durable(&spec, &campaign, &config, &mut journal, &kill)
+            .expect_err("the kill fires with work outstanding");
+        // Follow-ups queue behind the ten first attempts, so the first six
+        // completions are first attempts, and five of the ten trip: at
+        // least one of the six tripped without its follow-up completed,
+        // and recovery rebuilds that follow-up from the journaled outcome.
+        let prefix = journal.replay().entries;
+        let done: Vec<(u32, u32)> = prefix
+            .iter()
+            .filter_map(|e| match e {
+                JournalEntry::JobCompleted { outcome } => Some((outcome.board, outcome.attempt)),
+                _ => None,
+            })
+            .collect();
+        assert!(prefix.iter().any(|e| matches!(
+            e,
+            JournalEntry::JobCompleted { outcome }
+                if eviction_floor(outcome, &config).is_some()
+                    && !done.contains(&(outcome.board, outcome.attempt + 1))
+        )));
+        let deaths = Disruption {
+            worker_deaths: vec![(0, 3)],
+            ..Disruption::none()
+        };
+        let resumed = run_fleet_durable(&spec, &campaign, &config, &mut journal, &deaths)
+            .expect("one worker finishes the campaign");
+        assert_eq!(
+            baseline.characterization_json(),
+            resumed.report.characterization_json()
+        );
+
+        let entries = journal.replay().entries;
+        let mut follow_ups = 0;
+        for entry in &entries {
+            let JournalEntry::JobCompleted { outcome } = entry else {
+                continue;
+            };
+            if outcome.attempt == 0 {
+                continue;
+            }
+            let floor_override_mv = entries.iter().find_map(|e| match e {
+                JournalEntry::JobClaimed {
+                    board,
+                    attempt,
+                    floor_override_mv,
+                } if (*board, *attempt) == (outcome.board, outcome.attempt) => {
+                    Some(*floor_override_mv)
+                }
+                _ => None,
+            });
+            let fresh = job::execute(
+                &FleetJob {
+                    board: spec.board(outcome.board),
+                    attempt: outcome.attempt,
+                    floor_override_mv: floor_override_mv.expect("every job is claimed"),
+                },
+                &campaign,
+                spec.population,
+            );
+            assert_eq!(
+                serde::json::to_string(outcome),
+                serde::json::to_string(&fresh),
+                "board {} attempt {}",
+                outcome.board,
+                outcome.attempt
+            );
+            follow_ups += 1;
+        }
+        assert!(follow_ups > 0, "the quick campaign evicts");
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub struct Millivolts(u32);
 impl Millivolts {
     /// Nominal PMD supply voltage of the X-Gene2 (980 mV).
     pub const XGENE2_NOMINAL: Millivolts = Millivolts(980);
-    /// Nominal SoC-domain supply voltage of the X-Gene2 (950 mV).
-    pub const XGENE2_SOC_NOMINAL: Millivolts = Millivolts(950);
 
     /// Creates a voltage from a millivolt count.
     pub const fn new(mv: u32) -> Self {
@@ -41,11 +39,6 @@ impl Millivolts {
     /// Returns the raw millivolt count.
     pub const fn as_u32(self) -> u32 {
         self.0
-    }
-
-    /// Returns the voltage in volts.
-    pub fn as_volts(self) -> f64 {
-        f64::from(self.0) / 1000.0
     }
 
     /// Ratio of this voltage to `nominal` (dimensionless, e.g. `915/980`).
@@ -121,11 +114,6 @@ impl Megahertz {
     /// Returns the raw megahertz count.
     pub const fn as_u32(self) -> u32 {
         self.0
-    }
-
-    /// Frequency in Hz.
-    pub fn as_hz(self) -> f64 {
-        f64::from(self.0) * 1e6
     }
 
     /// Ratio of this frequency to `nominal`.

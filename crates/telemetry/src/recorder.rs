@@ -224,13 +224,6 @@ impl FlightRecorder {
         self
     }
 
-    /// Changes the level at (and above) which events trigger a dump.
-    #[must_use]
-    pub fn with_trigger_level(mut self, level: Level) -> Self {
-        self.trigger_level = level;
-        self
-    }
-
     /// Caps how many dumps are retained (later triggers are dropped,
     /// bounding memory on a pathological campaign).
     #[must_use]

@@ -260,11 +260,6 @@ impl ThermalTestbed {
     pub fn elapsed(&self) -> f64 {
         self.elapsed
     }
-
-    /// Total heater energy switching events across all relays.
-    pub fn total_relay_switches(&self) -> u64 {
-        self.channels.iter().map(|c| c.relay.switch_count()).sum()
-    }
 }
 
 #[cfg(test)]

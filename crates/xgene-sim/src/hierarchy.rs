@@ -7,7 +7,7 @@
 //! one level), and the Vmin predictor consumes the miss-rate performance
 //! counters the hierarchy produces.
 
-use crate::cache::{Cache, CacheStats};
+use crate::cache::Cache;
 use crate::topology::{CacheLevel, CoreId, CORE_COUNT, PMD_COUNT};
 use serde::{Deserialize, Serialize};
 
@@ -151,16 +151,6 @@ impl CacheHierarchy {
     /// Per-core counters.
     pub fn counters(&self, core: CoreId) -> CoreCounters {
         self.counters[core.index()]
-    }
-
-    /// Statistics of one physical cache (`l2`/`l3` indexed per PMD/chip).
-    pub fn level_stats(&self, level: CacheLevel, core: CoreId) -> CacheStats {
-        match level {
-            CacheLevel::L1I => self.l1i[core.index()].stats(),
-            CacheLevel::L1D => self.l1d[core.index()].stats(),
-            CacheLevel::L2 => self.l2[core.pmd().index()].stats(),
-            CacheLevel::L3 => self.l3.stats(),
-        }
     }
 
     /// Flushes every cache and clears counters.

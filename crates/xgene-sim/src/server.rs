@@ -159,7 +159,9 @@ impl XGene2Server {
     /// where every board carries its own sampled silicon rather than one
     /// of the three characterized corner parts. The DRAM weak-cell
     /// population and fault RNG still derive deterministically from
-    /// `seed`.
+    /// `seed`; the population's cells are drawn on the first DRAM read
+    /// (see [`WeakCellPopulation::generate`]), so a board that never
+    /// reads its DRAM never draws them.
     pub fn with_chip(chip: ChipProfile, seed: u64, spec: PopulationSpec) -> Self {
         let population = WeakCellPopulation::generate(&RetentionModel::xgene2_micron(), spec, seed);
         XGene2Server::with_chip_and_population(chip, seed, population)

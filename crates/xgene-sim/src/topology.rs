@@ -15,10 +15,6 @@ pub const PMD_COUNT: usize = 4;
 pub const CORES_PER_PMD: usize = 2;
 /// Total application cores.
 pub const CORE_COUNT: usize = PMD_COUNT * CORES_PER_PMD;
-/// Memory-controller bridges.
-pub const MCB_COUNT: usize = 2;
-/// DDR3 memory-control units (channels).
-pub const MCU_COUNT: usize = 4;
 
 /// One of the eight ARMv8 cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
